@@ -38,8 +38,8 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Single-task variant returning a future for the task's result — the
-  /// submission API of request/batch pipelines (serve's micro-batching
-  /// queue), where the submitter needs completion signalling per task
+  /// submission API of request/batch pipelines (serve's sync HandleFrames
+  /// path), where the submitter needs completion signalling per task
   /// rather than a whole-pool Wait() barrier. Shares the FIFO queue with
   /// Submit(), so SubmitTask work and ParallelForChunks work interleave
   /// safely on one pool and Wait() covers SubmitTask work too. Tasks must

@@ -1,8 +1,6 @@
 #include "serve/batch_queue.h"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
 #include <span>
 #include <utility>
 
@@ -12,7 +10,11 @@ namespace dmt::serve {
 
 BatchQueue::BatchQueue(Server* server) : server_(server) {
   DMT_CHECK(server_ != nullptr);
-  drainer_ = std::thread([this] { DrainLoop(); });
+  const size_t workers = std::max<size_t>(1, server_->options().num_threads);
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 BatchQueue::~BatchQueue() {
@@ -21,11 +23,8 @@ BatchQueue::~BatchQueue() {
     stopping_ = true;
   }
   work_available_.notify_all();
-  drainer_.join();
-  // The drainer exits only once the queue is empty, but batches it handed
-  // to the pool may still be running; their tasks reference this object.
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return batches_in_flight_ == 0; });
+  // Workers leave only once the queue is empty, so joining drains it.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void BatchQueue::Submit(std::vector<std::byte> frame,
@@ -42,96 +41,59 @@ void BatchQueue::Submit(std::vector<std::byte> frame,
 
 void BatchQueue::Flush() {
   std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] {
-    return queue_.empty() && batches_in_flight_ == 0;
-  });
+  all_done_.wait(lock,
+                 [this] { return queue_.empty() && busy_workers_ == 0; });
 }
 
-std::vector<BatchQueue::Item> BatchQueue::TakeBatch(
-    std::unique_lock<std::mutex>* lock) {
-  const size_t take =
-      std::min<size_t>(queue_.size(), server_->options().batch_size);
+void BatchQueue::WorkerLoop() {
   std::vector<Item> items;
-  items.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    items.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  if (!items.empty()) ++batches_in_flight_;
-  (void)lock;
-  return items;
-}
-
-void BatchQueue::DrainLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::unique_lock<std::mutex> lock(mutex_);
     work_available_.wait(lock,
                          [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
+    if (queue_.empty()) return;  // stopping, and nothing left to drain
+    const size_t take =
+        std::min<size_t>(queue_.size(), server_->options().batch_size);
+    for (size_t i = 0; i < take; ++i) {
+      items.push_back(std::move(queue_.front()));
+      queue_.pop_front();
     }
-    // Let a batch fill: wait out the timeout window (measured from the
-    // oldest pending frame, i.e. now) unless it fills first or we are
-    // shutting down (then latency no longer matters, only draining).
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(server_->options().batch_timeout_us);
-    while (!stopping_ &&
-           queue_.size() < server_->options().batch_size &&
-           work_available_.wait_until(lock, deadline) !=
-               std::cv_status::timeout) {
-    }
-    std::vector<Item> items = TakeBatch(&lock);
+    // A backlog beyond one batch belongs to the next idle worker, even
+    // if its own Submit() wake-up went to a worker that was busy.
+    if (!queue_.empty()) work_available_.notify_one();
+    ++busy_workers_;
     lock.unlock();
-    if (!items.empty()) RunBatch(std::move(items));
+    RunBatch(&items);
+    items.clear();
+    lock.lock();
+    --busy_workers_;
+    if (queue_.empty() && busy_workers_ == 0) all_done_.notify_all();
   }
 }
 
-void BatchQueue::RunBatch(std::vector<Item> items) {
-  // Prepare + cache lookups stay on the accumulator thread, in drain
-  // order (single-writer on the lookup counters; insertions happen in
-  // the evaluation task under the cache's shard locks).
-  auto batch = std::make_shared<std::vector<PreparedRequest>>();
-  auto callbacks = std::make_shared<std::vector<ResponseCallback>>();
-  batch->reserve(items.size());
-  callbacks->reserve(items.size());
-  for (Item& item : items) {
-    batch->push_back(server_->Prepare(item.frame));
-    server_->RecordQueueWait(&batch->back(), item.submit_ts_us);
-    callbacks->push_back(std::move(item.callback));
+void BatchQueue::RunBatch(std::vector<Item>* items) {
+  std::vector<PreparedRequest> batch;
+  batch.reserve(items->size());
+  for (Item& item : *items) {
+    batch.push_back(server_->Prepare(item.frame));
+    server_->RecordQueueWait(&batch.back(), item.submit_ts_us);
   }
-  for (PreparedRequest& p : *batch) server_->LookupCache(&p);
-  {
-    std::vector<PreparedRequest*> pointers;
-    pointers.reserve(batch->size());
-    for (PreparedRequest& p : *batch) pointers.push_back(&p);
-    server_->CountBatch(std::span<PreparedRequest*>(pointers));
+  std::vector<PreparedRequest*> pointers;
+  pointers.reserve(batch.size());
+  for (PreparedRequest& p : batch) {
+    server_->LookupCache(&p);
+    pointers.push_back(&p);
   }
-
-  auto evaluate = [this, batch, callbacks] {
-    std::vector<PreparedRequest*> pointers;
-    pointers.reserve(batch->size());
-    for (PreparedRequest& p : *batch) pointers.push_back(&p);
-    server_->FoldTally(
-        server_->EvaluateBatch(std::span<PreparedRequest*>(pointers)));
-    for (const PreparedRequest& p : *batch) server_->InsertCacheMisses(p);
-    for (size_t i = 0; i < batch->size(); ++i) {
-      server_->RecordRequestDone(&(*batch)[i]);
-      (*callbacks)[i](std::move((*batch)[i].encoded));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --batches_in_flight_;
-    }
-    all_done_.notify_all();
-  };
-  if (server_->pool() != nullptr) {
-    // Fire-and-forget: completion is tracked by batches_in_flight_, not
-    // the future.
-    server_->pool()->Submit(evaluate);
-  } else {
-    evaluate();
+  const std::span<PreparedRequest*> span(pointers);
+  server_->CountBatch(span);
+  server_->FoldTally(server_->EvaluateBatch(span));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    server_->InsertCacheMisses(batch[i]);
+    server_->RecordRequestDone(&batch[i]);
+    // The callback is released as soon as it has run, not with the
+    // batch: it may own its stream (the daemon's connection fd).
+    std::exchange((*items)[i].callback, nullptr)(
+        std::move(batch[i].encoded));
   }
 }
 

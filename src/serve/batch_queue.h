@@ -1,16 +1,14 @@
-// Micro-batching request queue — the latency/throughput trade at the
-// heart of the daemon. Submit() enqueues a raw request frame plus a
-// completion callback; a single accumulator thread drains up to
-// batch_size pending frames (or whatever arrived within batch_timeout_us
-// of the oldest pending frame) and hands the whole batch to the server as
-// ONE unit: prepare + cache lookups on the accumulator thread (in drain
-// order), evaluation as one task on the server's thread pool (inline when
-// the server is serial). Parallelism comes from concurrent *batches* in
-// flight, never from splitting a batch, so batching cannot change any
-// response (serving_diff_test.cc holds the sync path to that bit-for-bit;
-// the async path shares every evaluation code path).
-//
-// Unlike Server::HandleFrames, cache lookups happen at drain time, so
+// Work-conserving micro-batching queue — the daemon's front door to a
+// Server. Submit() enqueues a raw request frame plus a completion
+// callback. Each of max(1, num_threads) worker threads, as soon as it is
+// free, pops up to batch_size pending frames and runs that batch start
+// to finish: prepare + cache lookups, one EvaluateBatch, cache
+// insertion, callbacks. A batch grows only while every worker is busy,
+// so batch size follows the backlog and a lone request never waits for
+// company. Batches run concurrently but are never split, so batching
+// cannot change any response (serving_diff_test.cc holds this path
+// byte-for-byte to Server::HandleFrames at every thread × batch × cache
+// shape). Cache lookups happen when a worker takes a batch, so the
 // hit/miss counters here depend on arrival timing — by design; the
 // deterministic counter contract belongs to the sync path.
 #ifndef DMT_SERVE_BATCH_QUEUE_H_
@@ -18,7 +16,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -35,9 +32,9 @@ namespace dmt::serve {
 class BatchQueue {
  public:
   /// Called with the encoded response frame when the request completes.
-  /// Runs on a pool worker (or the accumulator thread when the server is
-  /// serial); implementations must be thread-safe and must not block for
-  /// long — they hold a batch slot.
+  /// Runs on a queue worker; implementations must be thread-safe, and
+  /// while one blocks its worker serves no other batch. Destroyed right
+  /// after it runs, so it may own resources of its stream.
   using ResponseCallback = std::function<void(std::vector<std::byte>)>;
 
   explicit BatchQueue(Server* server);
@@ -59,23 +56,21 @@ class BatchQueue {
     std::vector<std::byte> frame;
     ResponseCallback callback;
     /// Telemetry stamp taken at Submit(); 0 when telemetry is off. The
-    /// drain credits submit -> prepare to the queue-wait histogram.
+    /// worker credits submit -> prepare to the queue-wait histogram.
     double submit_ts_us = 0.0;
   };
 
-  void DrainLoop();
-  /// Pops up to batch_size items (holding the lock), returns them.
-  std::vector<Item> TakeBatch(std::unique_lock<std::mutex>* lock);
-  void RunBatch(std::vector<Item> items);
+  void WorkerLoop();
+  void RunBatch(std::vector<Item>* items);
 
   Server* server_;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::deque<Item> queue_;
-  size_t batches_in_flight_ = 0;
+  size_t busy_workers_ = 0;
   bool stopping_ = false;
-  std::thread drainer_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dmt::serve

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -117,7 +116,11 @@ Result<std::vector<std::byte>> ReadFrame(int fd, uint32_t magic) {
 Status WriteAll(int fd, std::span<const std::byte> bytes) {
   size_t done = 0;
   while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    const std::byte* data = bytes.data() + done;
+    const size_t size = bytes.size() - done;
+    // MSG_NOSIGNAL: a hung-up peer is EPIPE here, not a fatal SIGPIPE.
+    ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(
@@ -130,32 +133,45 @@ Status WriteAll(int fd, std::span<const std::byte> bytes) {
 
 namespace {
 
-/// Shared write-side state of one response stream: responses complete on
-/// worker threads, so writes serialize on a mutex.
+/// Write side of one response stream, shared by its reader and by the
+/// callbacks of its pending requests. Responses complete on queue
+/// workers, so writes serialize on the mutex. An owning writer closes
+/// the fd when its last owner lets go, which is after the stream's last
+/// response is written: a connection closes as soon as its own
+/// responses are out, whatever other streams do, and no late write can
+/// reach a reused fd number.
 struct ResponseWriter {
-  explicit ResponseWriter(int out_fd) : fd(out_fd) {}
+  ResponseWriter(int out_fd, bool owns) : fd(out_fd), owns_fd(owns) {}
+  ~ResponseWriter() {
+    if (owns_fd) ::close(fd);
+  }
+  ResponseWriter(const ResponseWriter&) = delete;
+  ResponseWriter& operator=(const ResponseWriter&) = delete;
 
+  /// After a write error (the client hung up) later responses are
+  /// dropped: the error kills the stream, not the daemon.
   void Write(std::span<const std::byte> frame) {
     std::lock_guard<std::mutex> lock(mutex);
-    if (dead) return;
-    Status status = WriteAll(fd, frame);
+    if (!status.ok()) return;
+    status = WriteAll(fd, frame);
     if (!status.ok()) {
-      // A write error (client hung up) kills the stream, not the daemon.
-      dead = true;
       obs::Log(obs::LogSeverity::kWarning, "response write: %s",
                status.ToString().c_str());
     }
   }
 
   int fd;
+  bool owns_fd;
   std::mutex mutex;
-  bool dead = false;
+  Status status;  ///< The first write error, else OK.
 };
 
 /// Reads request frames from in_fd into `queue` until EOF or a framing
-/// error; responses go to `writer`. Returns OK on EOF.
+/// error; responses go to `writer`. Returns OK on EOF. Never waits for a
+/// response, so a client that writes all its requests before reading
+/// any cannot stall its own reader.
 Status PumpRequests(BatchQueue* queue, int in_fd,
-                    std::shared_ptr<ResponseWriter> writer) {
+                    const std::shared_ptr<ResponseWriter>& writer) {
   for (;;) {
     Result<std::vector<std::byte>> frame = ReadFrame(in_fd, kRequestMagic);
     if (!frame.ok()) {
@@ -175,11 +191,13 @@ Status PumpRequests(BatchQueue* queue, int in_fd,
 }  // namespace
 
 Status ServeStream(Server* server, int in_fd, int out_fd) {
-  BatchQueue queue(server);
-  auto writer = std::make_shared<ResponseWriter>(out_fd);
-  Status status = PumpRequests(&queue, in_fd, writer);
-  queue.Flush();
-  return status;
+  auto writer = std::make_shared<ResponseWriter>(out_fd, /*owns=*/false);
+  Status read_status;
+  {
+    BatchQueue queue(server);
+    read_status = PumpRequests(&queue, in_fd, writer);
+  }  // ~BatchQueue drains: every response is written or dropped here
+  return read_status.ok() ? writer->status : read_status;
 }
 
 Status ServeSocket(Server* server, const std::string& path,
@@ -222,13 +240,10 @@ Status ServeSocket(Server* server, const std::string& path,
     }
     ++accepted;
     readers.emplace_back([&queue, conn] {
-      auto writer = std::make_shared<ResponseWriter>(conn);
+      // The writer owns conn: it closes once this reader is done and
+      // the connection's last response is written.
+      auto writer = std::make_shared<ResponseWriter>(conn, /*owns=*/true);
       (void)PumpRequests(&queue, conn, writer);
-      // All of this connection's responses must be written before the
-      // fd closes; Flush also covers other connections' requests, which
-      // is harmless (a small latency tax on close).
-      queue.Flush();
-      ::close(conn);
     });
   }
   ::close(listener);

@@ -62,19 +62,26 @@ class MetricsDumper {
 /// read failure or mid-frame EOF, Corruption on a bad header.
 core::Result<std::vector<std::byte>> ReadFrame(int fd, uint32_t magic);
 
-/// Writes the whole buffer, retrying short writes.
+/// Writes the whole buffer, retrying short writes. On a socket a peer
+/// that hung up is an IOError, never SIGPIPE; on any other fd the caller
+/// must ignore SIGPIPE for the same guarantee.
 core::Status WriteAll(int fd, std::span<const std::byte> bytes);
 
 /// Serves frames from `in_fd`, writing responses to `out_fd`, until EOF.
 /// Requests flow through a BatchQueue, so responses may be written out
 /// of request order (match by id). On a framing error, writes one error
-/// response and returns its status; on EOF returns OK.
+/// response and returns its status. Otherwise returns the first response
+/// write error (the reader hung up; later responses are dropped), or OK
+/// once every response is written.
 core::Status ServeStream(Server* server, int in_fd, int out_fd);
 
 /// Binds an AF_UNIX socket at `path` (unlinking any stale file first)
 /// and serves connections, each on its own reader thread, all feeding
-/// one shared BatchQueue. Returns after `max_connections` connections
-/// have been accepted and fully served (0 = serve forever).
+/// one shared BatchQueue. A connection closes as soon as its client has
+/// finished sending and its own responses are written; responses still
+/// pending for other clients never hold it open. Returns after
+/// `max_connections` connections have been accepted and fully served
+/// (0 = serve forever).
 core::Status ServeSocket(Server* server, const std::string& path,
                          size_t max_connections);
 

@@ -21,8 +21,13 @@ Status ServeOptions::Validate() const {
     return Status::InvalidArgument(
         core::StrFormat("batch_size %u out of range [1, 4096]", batch_size));
   }
-  if (cache_shards == 0) {
-    return Status::InvalidArgument("cache_shards must be >= 1");
+  if (num_threads > kMaxThreads) {
+    return Status::InvalidArgument(core::StrFormat(
+        "num_threads %zu out of range [0, %zu]", num_threads, kMaxThreads));
+  }
+  if (cache_shards == 0 || cache_shards > 4096) {
+    return Status::InvalidArgument(core::StrFormat(
+        "cache_shards %zu out of range [1, 4096]", cache_shards));
   }
   if (verify_cache_hits && cache_capacity == 0) {
     return Status::InvalidArgument(
@@ -62,9 +67,6 @@ Server::Server(std::shared_ptr<const ModelBundle> bundle,
     : bundle_(std::move(bundle)), options_(options) {
   DMT_CHECK(bundle_ != nullptr);
   DMT_CHECK(options_.Validate().ok());
-  if (options_.num_threads >= 2) {
-    pool_ = std::make_unique<core::ThreadPool>(options_.num_threads);
-  }
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<ShardedLruCache>(options_.cache_capacity,
                                                options_.cache_shards);
@@ -638,7 +640,10 @@ std::vector<std::vector<std::byte>> Server::HandleFrames(
   }
   for (auto& batch : batches) CountBatch(std::span(batch));
 
-  if (pool_ != nullptr && batches.size() > 1) {
+  if (options_.num_threads >= 2 && batches.size() > 1) {
+    std::call_once(pool_once_, [this] {
+      pool_ = std::make_unique<core::ThreadPool>(options_.num_threads);
+    });
     std::vector<std::future<BatchTally>> futures;
     futures.reserve(batches.size());
     for (auto& batch : batches) {

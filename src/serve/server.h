@@ -23,13 +23,15 @@
 //    are inserted in request order *after* every batch completed — so
 //    hit/miss/insertion/eviction totals cannot depend on batch shape or
 //    worker scheduling. (The async BatchQueue path trades this for
-//    latency: it looks up at drain time, so its cache counters are
-//    timing-dependent; its responses are still bit-identical.)
+//    latency: each worker looks up when it takes a batch, so its cache
+//    counters are timing-dependent; its responses are still
+//    bit-identical.)
 #ifndef DMT_SERVE_SERVER_H_
 #define DMT_SERVE_SERVER_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,12 +49,17 @@ namespace dmt::serve {
 
 /// Serving knobs.
 struct ServeOptions {
-  /// Upper bound on requests evaluated as one pool task.
+  /// Largest accepted num_threads: the async BatchQueue starts that many
+  /// workers itself, so the value must stay a sane thread count.
+  static constexpr size_t kMaxThreads = 256;
+
+  /// Upper bound on requests evaluated together as one batch (one
+  /// EvaluateBatch call).
   uint32_t batch_size = 32;
-  /// Async path only: a partial batch is flushed after this long.
-  uint32_t batch_timeout_us = 200;
-  /// Worker threads for batch evaluation; 0 or 1 = evaluate on the
-  /// calling thread (the library-wide convention).
+  /// Batch-evaluation threads, at most kMaxThreads. Sync path: 0 or 1 =
+  /// evaluate on the calling thread (the library-wide convention), >= 2
+  /// = a pool of that many, built on first use. Async BatchQueue:
+  /// max(1, num_threads) workers, each running whole batches.
   size_t num_threads = 0;
   /// Total rule-cache entries; 0 disables the cache.
   size_t cache_capacity = 0;
@@ -100,7 +107,7 @@ struct PreparedRequest {
   // span lands on the same timebase as every obs::Span.
   double start_ts_us = 0.0;  ///< Submit (async) or Prepare (sync) time.
   double prepare_us = 0.0;   ///< Decode + validate + canonicalize.
-  double queue_us = 0.0;     ///< Async path: submit -> drain wait.
+  double queue_us = 0.0;     ///< Async path: submit -> batch start.
   double eval_us = 0.0;      ///< Owning batch's evaluation time.
   uint64_t batch_id = 0;     ///< Process-wide batch sequence number.
   uint32_t batch_requests = 0;  ///< Size of the owning batch.
@@ -129,11 +136,13 @@ class Server {
   // -- phase API (used by HandleFrames and the async BatchQueue) -------
 
   /// Decode + validate one frame; bumps serve/requests (and serve/errors
-  /// on failure). Call sequentially in arrival order.
+  /// on failure). Thread-safe.
   PreparedRequest Prepare(std::span<const std::byte> frame);
 
   /// Cache lookups for a prepared kRecommend request, in basket order;
-  /// bumps lookup/hit/miss counters. Call sequentially in arrival order.
+  /// bumps lookup/hit/miss counters. Thread-safe; calls made sequentially
+  /// in arrival order give the deterministic hit/miss totals of the sync
+  /// path.
   void LookupCache(PreparedRequest* prepared);
 
   /// Evaluates one batch (at most batch_size non-failed requests):
@@ -172,7 +181,7 @@ class Server {
   /// latency telemetry is off (so callers may stamp unconditionally).
   double TelemetryNowUs() const;
 
-  /// Async path: credits the submit -> drain wait to the queue-wait
+  /// Async path: credits the submit -> batch-start wait to the queue-wait
   /// histogram and extends the request's lifetime stamp back to
   /// `submit_ts_us` so total latency includes the queue.
   void RecordQueueWait(PreparedRequest* prepared, double submit_ts_us);
@@ -189,8 +198,6 @@ class Server {
 
   const ServeOptions& options() const { return options_; }
   const ModelBundle& bundle() const { return *bundle_; }
-  /// nullptr when evaluation is serial.
-  core::ThreadPool* pool() { return pool_.get(); }
   bool cache_enabled() const { return cache_ != nullptr; }
 
  private:
@@ -209,6 +216,10 @@ class Server {
 
   std::shared_ptr<const ModelBundle> bundle_;
   ServeOptions options_;
+  /// Sync-path batch pool, built by the first HandleFrames call that has
+  /// more than one batch to run and num_threads >= 2; the async
+  /// BatchQueue runs on its own workers and never builds it.
+  std::once_flag pool_once_;
   std::unique_ptr<core::ThreadPool> pool_;
   std::unique_ptr<ShardedLruCache> cache_;
 

@@ -7,13 +7,22 @@
 // layers must turn them into error responses while staying alive.
 #include "serve/protocol.h"
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <future>
+#include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -311,6 +320,39 @@ TEST(ShardedLruCacheTest, PutRefreshesExistingKey) {
   EXPECT_EQ(*cache.Get("k"), v2);
 }
 
+// -------------------------------------------------------------- options
+
+TEST(ServeOptionsTest, ValidateRejectsOutOfRangeValues) {
+  EXPECT_TRUE(ServeOptions{}.Validate().ok());
+  ServeOptions edge;
+  edge.batch_size = 4096;
+  edge.num_threads = ServeOptions::kMaxThreads;
+  edge.cache_shards = 4096;
+  EXPECT_TRUE(edge.Validate().ok());
+
+  auto rejected = [](void (*mutate)(ServeOptions*)) {
+    ServeOptions options;
+    mutate(&options);
+    return options.Validate().code() == core::StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected([](ServeOptions* o) { o->batch_size = 0; }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) { o->batch_size = 4097; }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) {
+    o->num_threads = ServeOptions::kMaxThreads + 1;
+  }));
+  // What an unchecked "--threads -1" used to become.
+  EXPECT_TRUE(rejected([](ServeOptions* o) {
+    o->num_threads = std::numeric_limits<size_t>::max();
+  }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) { o->cache_shards = 0; }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) { o->cache_shards = 4097; }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) { o->verify_cache_hits = true; }));
+  EXPECT_TRUE(rejected([](ServeOptions* o) {
+    o->slow_query_us = 10;
+    o->latency_telemetry = false;
+  }));
+}
+
 // --------------------------------------------------- server robustness
 
 class ServeServerTest : public ::testing::Test {
@@ -501,6 +543,163 @@ TEST_F(ServeServerTest, StreamClosesCleanlyOnBadHeader) {
   EXPECT_EQ(after.value().status, 0u);
 }
 
+/// `count` stats request frames with ids 1..count, back to back. Stats
+/// responses embed the registry snapshot (kilobytes each), so a
+/// thousand of them overflow the socket buffers several times over.
+std::vector<std::byte> StatsFrames(uint64_t count) {
+  std::vector<std::byte> bytes;
+  Request stats;
+  stats.type = RequestType::kStats;
+  for (stats.id = 1; stats.id <= count; ++stats.id) {
+    std::vector<std::byte> frame = EncodeRequestFrame(stats);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+TEST_F(ServeServerTest, StreamSurvivesPeerHangUp) {
+  ServeOptions options;
+  options.num_threads = 2;
+  Server server(bundle(), options);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+
+  core::Status stream_status;
+  std::thread serving([&] {
+    stream_status = ServeStream(&server, sv[1], sv[1]);
+    ::close(sv[1]);
+  });
+  // The peer sends far more than its receive buffer can take back, then
+  // closes without reading a byte: some response write hits the closed
+  // peer. Were that a SIGPIPE, this test binary would die here.
+  ASSERT_TRUE(WriteAll(sv[0], StatsFrames(1000)).ok());
+  ::close(sv[0]);
+  serving.join();
+  EXPECT_EQ(stream_status.code(), core::StatusCode::kIOError)
+      << stream_status.ToString();
+}
+
+TEST_F(ServeServerTest, StreamAnswersAClientThatWritesEverythingFirst) {
+  // A client may write every request before it reads any response (a
+  // batch job, or dmtd --stdin fed by a pipe). 20,000 requests
+  // overflow the request direction's buffers while the responses fill
+  // the other direction's, so workers block writing. The stream's
+  // reader must keep taking requests meanwhile, or client and daemon
+  // each wait for the other for good.
+  constexpr uint64_t kRequests = 20000;
+  ServeOptions options;
+  options.num_threads = 2;
+  Server server(bundle(), options);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+
+  core::Status stream_status;
+  std::thread serving([&] {
+    stream_status = ServeStream(&server, sv[1], sv[1]);
+    ::shutdown(sv[1], SHUT_WR);  // the client's read loop sees EOF
+  });
+  std::promise<std::vector<uint64_t>> answered;
+  std::future<std::vector<uint64_t>> ids = answered.get_future();
+  std::thread client([&] {
+    std::vector<uint64_t> seen;
+    if (WriteAll(sv[0], StatsFrames(kRequests)).ok()) {
+      ::shutdown(sv[0], SHUT_WR);
+      for (;;) {
+        auto frame = ReadFrame(sv[0], kResponseMagic);
+        if (!frame.ok() || frame.value().empty()) break;
+        auto response = DecodeResponseFrame(frame.value());
+        if (response.ok()) seen.push_back(response.value().id);
+      }
+    }
+    answered.set_value(std::move(seen));
+  });
+  const bool finished =
+      ids.wait_for(std::chrono::seconds(300)) == std::future_status::ready;
+  if (!finished) {
+    // Deadlocked: break both directions so every thread can be joined.
+    ::shutdown(sv[0], SHUT_RDWR);
+    ::shutdown(sv[1], SHUT_RDWR);
+  }
+  client.join();
+  serving.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  ASSERT_TRUE(finished) << "client and daemon deadlocked";
+  EXPECT_TRUE(stream_status.ok()) << stream_status.ToString();
+  std::vector<uint64_t> got = ids.get();
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got.size(), kRequests);
+  for (uint64_t i = 0; i < kRequests; ++i) ASSERT_EQ(got[i], i + 1);
+}
+
+/// Connects to the AF_UNIX socket at `path`, retrying while the serving
+/// thread is still binding it. Returns -1 if it never comes up.
+int ConnectWithRetry(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                             sizeof(addr)) == 0) {
+      return fd;
+    }
+    if (fd >= 0) ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+TEST_F(ServeServerTest, ClosingAConnectionWaitsOnlyForItsOwnResponses) {
+  ServeOptions options;
+  options.num_threads = 2;
+  Server server(bundle(), options);
+  const std::string path = ::testing::TempDir() + "dmt_close_isolation_" +
+                           std::to_string(::getpid()) + ".sock";
+  ASSERT_LT(path.size(), sizeof(sockaddr_un::sun_path));
+  core::Status serve_status;
+  std::thread serving([&] {
+    serve_status = ServeSocket(&server, path, /*max_connections=*/2);
+  });
+
+  // A: one request, answered.
+  const int a = ConnectWithRetry(path);
+  ASSERT_GE(a, 0);
+  const Request probe = testutil::MakeRecommendRequest(1, 2, {{1, 2}});
+  ASSERT_TRUE(WriteAll(a, EncodeRequestFrame(probe)).ok());
+  auto answer = ReadFrame(a, kResponseMagic);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_FALSE(answer.value().empty());
+
+  // B: floods requests and never reads. Once its first response lands,
+  // B's requests are in service, and since the socket buffers cannot
+  // hold them all, the workers writing them block for good.
+  const int b = ConnectWithRetry(path);
+  ASSERT_GE(b, 0);
+  ASSERT_TRUE(WriteAll(b, StatsFrames(1000)).ok());
+  pollfd b_ready{b, POLLIN, 0};
+  ASSERT_EQ(::poll(&b_ready, 1, /*timeout_ms=*/5000), 1);
+
+  // A is done: its connection must close (EOF) although B's requests
+  // are stuck behind B's full socket.
+  ASSERT_EQ(::shutdown(a, SHUT_WR), 0);
+  pollfd a_ready{a, POLLIN, 0};
+  const bool a_closed = ::poll(&a_ready, 1, /*timeout_ms=*/5000) == 1;
+  EXPECT_TRUE(a_closed)
+      << "connection A was held open by connection B's traffic";
+  if (a_closed) {
+    std::byte byte{};
+    EXPECT_EQ(::read(a, &byte, 1), 0);  // EOF, no stray response
+  }
+  ::close(a);
+
+  // B hangs up; the daemon drops its remaining responses and returns.
+  ::close(b);
+  serving.join();
+  ::unlink(path.c_str());
+  EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+}
+
 TEST_F(ServeServerTest, BatchQueueDeliversErrorsAndKeepsServing) {
   ServeOptions options;
   options.batch_size = 4;
@@ -533,6 +732,41 @@ TEST_F(ServeServerTest, BatchQueueDeliversErrorsAndKeepsServing) {
   EXPECT_EQ(responses.at(1).labels.size(), 1u);
   EXPECT_NE(responses.at(0).status, 0u);
   EXPECT_EQ(responses.at(7).status, 0u);
+}
+
+TEST_F(ServeServerTest, BatchQueueReleasesEachCallbackAsSoonAsItRuns) {
+  // dmtd's callbacks own their connection, whose fd closes with the
+  // last of them, so a callback that has run must not be kept alive by
+  // a later callback of its batch that blocks on another client.
+  ServeOptions options;
+  options.batch_size = 8;
+  options.num_threads = 1;
+  Server server(bundle(), options);
+  Request request;
+  request.type = RequestType::kStats;
+  const std::vector<std::byte> stats = EncodeRequestFrame(request);
+
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  bool released_before_next = false;
+  std::promise<void> started;
+  std::promise<void> release;
+  std::future<void> release_signal = release.get_future();
+  {
+    BatchQueue queue(&server);
+    // Holds the only worker, so the next two requests share one batch.
+    queue.Submit(stats, [&](std::vector<std::byte>) {
+      started.set_value();
+      release_signal.wait();
+    });
+    started.get_future().wait();
+    queue.Submit(stats, [token = std::move(token)](std::vector<std::byte>) {});
+    queue.Submit(stats, [&](std::vector<std::byte>) {
+      released_before_next = watch.expired();
+    });
+    release.set_value();
+  }
+  EXPECT_TRUE(released_before_next);
 }
 
 }  // namespace

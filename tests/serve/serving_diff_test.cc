@@ -6,16 +6,22 @@
 // serve/batch_bucket_*), which describe the batching itself. Two waves
 // of traffic with repeated baskets make the second wave hit the cache,
 // so the cached fast path is covered by the same bit-identity check
-// (and once more with verify_cache_hits recomputing every hit).
+// (and once more with verify_cache_hits recomputing every hit). The
+// async BatchQueue, which the daemon serves through, is held to the same
+// bytes as the sync path.
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "serve/batch_queue.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "test_bundle.h"
@@ -341,6 +347,80 @@ TEST(ServingDiffTest, SingleFrameMatchesBatchedPath) {
       RunConfig(bundle, load, /*batch_size=*/64, /*threads=*/2, /*cache=*/0);
   for (size_t i = 0; i < one_by_one.size(); ++i) {
     EXPECT_EQ(one_by_one[i], batched.responses[i]) << "request " << i;
+  }
+}
+
+TEST(ServingDiffTest, BatchQueueMatchesSyncPathByteForByte) {
+  auto bundle = testutil::MakeTestBundle();
+  const Workload load = MakeWorkload(*bundle);
+  Frames frames = load.wave1;
+  frames.insert(frames.end(), load.wave2.begin(), load.wave2.end());
+
+  // The reference: the sync path on a fresh serial server. Request ids
+  // are unique and the one malformed frame answers with id 0, which no
+  // request uses, so every response maps back to its frame by id.
+  const Frames expected = Server(bundle, ServeOptions{}).HandleFrames(frames);
+  std::map<uint64_t, size_t> slot_of_id;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    auto response = DecodeResponseFrame(expected[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(slot_of_id.emplace(response.value().id, i).second);
+  }
+
+  constexpr size_t kClients = 4;
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+    for (uint32_t batch_size : {1u, 8u, 64u}) {
+      for (size_t cache : {size_t{0}, size_t{64}}) {
+        SCOPED_TRACE(ConfigName(batch_size, threads, cache));
+        ServeOptions options;
+        options.batch_size = batch_size;
+        options.num_threads = threads;
+        options.cache_capacity = cache;
+        options.verify_cache_hits = cache > 0;
+        Server server(bundle, options);
+
+        std::mutex mutex;
+        Frames responses(frames.size());
+        std::vector<int> calls(frames.size(), 0);
+        auto collect = [&](std::vector<std::byte> frame) {
+          auto response = DecodeResponseFrame(frame);
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          std::lock_guard<std::mutex> lock(mutex);
+          auto slot = slot_of_id.find(response.value().id);
+          ASSERT_NE(slot, slot_of_id.end());
+          responses[slot->second] = std::move(frame);
+          ++calls[slot->second];
+        };
+        // Client c submits every kClients-th frame, concurrently.
+        auto submit_all = [&](BatchQueue* queue) {
+          std::vector<std::thread> clients;
+          for (size_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+              for (size_t i = c; i < frames.size(); i += kClients) {
+                queue->Submit(frames[i], collect);
+              }
+            });
+          }
+          for (std::thread& client : clients) client.join();
+        };
+        auto check_round = [&](int round) {
+          std::lock_guard<std::mutex> lock(mutex);
+          for (size_t i = 0; i < frames.size(); ++i) {
+            ASSERT_EQ(calls[i], round) << "request " << i;
+            ASSERT_EQ(responses[i], expected[i]) << "request " << i;
+          }
+        };
+
+        {
+          BatchQueue queue(&server);
+          submit_all(&queue);
+          queue.Flush();  // round 1 ends with Flush ...
+          check_round(1);
+          submit_all(&queue);
+        }  // ... and round 2 (cache-warm) with the destructor.
+        check_round(2);
+      }
+    }
   }
 }
 

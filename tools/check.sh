@@ -13,8 +13,9 @@
 # the emitted Chrome trace_event JSON, a bench_compare regression gate
 # diffing the smoke records against the checked-in bench/baselines
 # (deterministic work counters must match exactly), and a serving smoke
-# that drives dmtd end to end — including the --metrics-path Prometheus
-# dump and the --slow-query-us structured log.
+# that drives dmtd end to end — including a client that hangs up unread,
+# bad numeric flags, the --metrics-path Prometheus dump and the
+# --slow-query-us structured log.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -32,14 +33,15 @@ echo "== tier 1b: kernel-sensitive tests forced to the scalar table =="
 # The SIMD kernels promise bit-identical results at every dispatch
 # level; rerunning the differential batteries with DMT_KERNEL_LEVEL
 # pinned to scalar proves the promise covers the integrated call sites
-# (Eclat tidsets, k-means assignment, DBSCAN region queries), not just
-# the kernel unit tests.
+# (Eclat tidsets, k-means assignment, DBSCAN region queries, and the
+# kNN / nearest-cluster serving paths), not just the kernel unit tests.
 KERNEL_SENSITIVE_TESTS=(
   tests/core/core_kernels_test
   tests/assoc/assoc_parallel_diff_test
   tests/assoc/assoc_out_of_core_diff_test
   tests/assoc/assoc_quant_stream_diff_test
   tests/cluster/cluster_parallel_diff_test
+  tests/serve/serving_diff_test
 )
 for t in "${KERNEL_SENSITIVE_TESTS[@]}"; do
   echo "  DMT_KERNEL_LEVEL=scalar $t"
@@ -86,9 +88,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$ROOT/build-tsan/tests/seq/seq_parallel_diff_test"
 "$ROOT/build-tsan/tests/tree/tree_parallel_diff_test"
 "$ROOT/build-tsan/tests/io/io_corruption_test"
-# The serving layer's concurrency surface: BatchQueue drain/flush, the
-# sharded cache, pool-dispatched batch evaluation, and the socketpair
-# stream tests all run under TSan here.
+# The serving layer's concurrency surface: BatchQueue workers and
+# flush, the sharded cache, pool-dispatched sync evaluation, and the
+# socket stream tests all run under TSan here.
 "$ROOT/build-tsan/tests/serve/serve_protocol_test"
 "$ROOT/build-tsan/tests/serve/serving_diff_test"
 
@@ -103,6 +105,7 @@ ASAN_TARGETS=(
   io_roundtrip_test
   core_kernels_test
   serve_protocol_test
+  serving_diff_test
   obs_histogram_test
   obs_expose_test
 )
@@ -116,6 +119,9 @@ export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 # The protocol corruption battery decodes every truncation/byte-flip of
 # every frame shape — the canonical place for an out-of-bounds read.
 "$ROOT/build-asan/tests/serve/serve_protocol_test"
+# Batch staging and the queue workers' hand-off of frames, callbacks
+# and response buffers across threads, at every batch x thread shape.
+"$ROOT/build-asan/tests/serve/serving_diff_test"
 # The exposition renderer walks fixed-size bucket arrays with manual
 # indexing — run it (and the bucket-boundary sweep) under ASan.
 "$ROOT/build-asan/tests/obs/obs_histogram_test"
@@ -335,6 +341,54 @@ grep -q '^id=1 rules ' "$SMOKE_DIR/client_out.txt"
 grep -q '^id=2 rules ' "$SMOKE_DIR/client_out.txt"
 grep -q '"serve/cache_hits":1' "$SMOKE_DIR/client_out.txt"
 echo "  socket mode: cache-hit counter ok"
+
+# Hang-up probe: a client floods stats requests and closes without
+# reading. Writing to it must end that connection only; the daemon must
+# still answer the next client and exit 0 after its second connection.
+if command -v python3 >/dev/null 2>&1; then
+  HANGUP_SOCKET="$SMOKE_DIR/hangup.sock"
+  "$DMTD" --dir "$DEMO_DIR" --socket "$HANGUP_SOCKET" --max-conns 2 \
+    --threads 2 >/dev/null 2>"$SMOKE_DIR/hangup_err.txt" &
+  DMTD_PID=$!
+  for _ in $(seq 1 100); do
+    test -S "$HANGUP_SOCKET" && break
+    sleep 0.05
+  done
+  python3 - "$HANGUP_SOCKET" <<'PY'
+import socket, struct, sys
+# 3000 stats request frames: "DMTQ", u32 body length 9, u64 id, u8 type 4.
+frames = b"".join(b"DMTQ" + struct.pack("<IQB", 9, i, 4)
+                  for i in range(1, 3001))
+client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+client.connect(sys.argv[1])
+client.sendall(frames)
+client.close()
+PY
+  printf 'stats\n' | "$DMTD" --client "$HANGUP_SOCKET" \
+    > "$SMOKE_DIR/hangup_out.txt"
+  grep -q '^id=1 stats ' "$SMOKE_DIR/hangup_out.txt"
+  wait "$DMTD_PID"
+  echo "  hang-up probe: daemon survived, answered, exited 0"
+else
+  echo "  hang-up probe: skipped (python3 unavailable)"
+fi
+
+# Numeric flags: a sign, a negative size, or a value too wide for its
+# field is the usage error (exit 2) — never a wrapped value or a signal.
+for bad in "--threads -1" "--threads +4" "--cache -5" \
+           "--batch-size 4294967297"; do
+  set +e
+  # shellcheck disable=SC2086  # split "flag value" into two words
+  "$DMTD" --dir "$DEMO_DIR" --script "$SMOKE_DIR/queries.txt" $bad \
+    >/dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 2 ]; then
+    echo "  dmtd $bad exited $status, expected the usage error (2)"
+    exit 1
+  fi
+done
+echo "  bad numeric flags: usage error ok"
 
 # bench_serving at one tiny configuration; the EXT-10 columns must land
 # in the JSON record. (The fourth benchmark arg is the EXT-12 telemetry

@@ -2,7 +2,7 @@
 // containers into an immutable ModelBundle and answers classify /
 // cluster-assignment / rule-recommendation / stats queries over the
 // length-prefixed binary protocol (serve/protocol.h), micro-batching
-// requests onto the thread pool.
+// requests on the serving queue's worker threads.
 //
 //   dmtd --make-demo <dir>              generate demo model containers
 //   dmtd --dir <dir> --script <file>    run text queries in-process
@@ -13,9 +13,10 @@
 //
 // Model flags (alternative to --dir, which picks up tree.dmt, train.dmt,
 // kmeans.dmt, rules.dmt when present): --tree/--train/--kmeans/--rules.
-// Serving flags: --batch-size N, --batch-timeout-us N, --threads N,
-// --cache N (entries; 0 = off), --cache-shards N, --verify-cache,
-// --max-conns N (socket mode; 0 = forever).
+// Serving flags: --batch-size N, --threads N, --cache N (entries;
+// 0 = off), --cache-shards N, --verify-cache, --max-conns N (socket
+// mode; 0 = forever). Every N is written in decimal digits only; a
+// sign, blanks, or a value too large for its field is a usage error.
 // Telemetry flags: --metrics-path <file> (periodic Prometheus-text dump
 // of the full registry), --metrics-interval-ms N (default 1000),
 // --slow-query-us N (log a structured warning for slower requests),
@@ -25,12 +26,16 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "assoc/apriori.h"
@@ -67,11 +72,35 @@ int Usage() {
       "[--max-conns N]\n"
       "       dmtd --client <socket path>   (query lines on stdin)\n"
       "model flags: --tree/--train/--kmeans/--rules <container>\n"
-      "serving flags: --batch-size N --batch-timeout-us N --threads N\n"
-      "               --cache N --cache-shards N --verify-cache\n"
+      "serving flags: --batch-size N --threads N --cache N\n"
+      "               --cache-shards N --verify-cache\n"
       "telemetry flags: --metrics-path <file> --metrics-interval-ms N\n"
       "                 --slow-query-us N --no-telemetry\n");
   return 2;
+}
+
+/// Parses a numeric flag value: decimal digits only, fitting in T.
+/// Anything else (a sign, blanks, trailing text, overflow) is reported
+/// and the caller answers with the usage error.
+template <typename T>
+bool ParseFlag(const std::string& flag, const char* text, T* out) {
+  const std::string_view digits(text);
+  // ParseUint alone would also take blanks and a '+' sign.
+  const bool only_digits =
+      !digits.empty() && std::all_of(digits.begin(), digits.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  Result<uint64_t> value = dmt::core::ParseUint(digits);
+  if (only_digits && value.ok() &&
+      value.value() <= std::numeric_limits<T>::max()) {
+    *out = static_cast<T>(value.value());
+    return true;
+  }
+  const auto max =
+      static_cast<unsigned long long>(std::numeric_limits<T>::max());
+  std::fprintf(stderr, "dmtd: %s takes an integer in [0, %llu], got \"%s\"\n",
+               flag.c_str(), max, text);
+  return false;
 }
 
 bool FileExists(const std::string& path) {
@@ -266,26 +295,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--stdin") {
       use_stdin = true;
     } else if (arg == "--batch-size" && need_value(i)) {
-      options.batch_size = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--batch-timeout-us" && need_value(i)) {
-      options.batch_timeout_us =
-          static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &options.batch_size)) return Usage();
     } else if (arg == "--threads" && need_value(i)) {
-      options.num_threads = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &options.num_threads)) return Usage();
     } else if (arg == "--cache" && need_value(i)) {
-      options.cache_capacity = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &options.cache_capacity)) {
+        return Usage();
+      }
     } else if (arg == "--cache-shards" && need_value(i)) {
-      options.cache_shards = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &options.cache_shards)) return Usage();
     } else if (arg == "--verify-cache") {
       options.verify_cache_hits = true;
     } else if (arg == "--max-conns" && need_value(i)) {
-      max_connections = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &max_connections)) return Usage();
     } else if (arg == "--metrics-path" && need_value(i)) {
       metrics_path = argv[++i];
     } else if (arg == "--metrics-interval-ms" && need_value(i)) {
-      metrics_interval_ms = static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &metrics_interval_ms)) return Usage();
     } else if (arg == "--slow-query-us" && need_value(i)) {
-      options.slow_query_us = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseFlag(arg, argv[++i], &options.slow_query_us)) {
+        return Usage();
+      }
     } else if (arg == "--no-telemetry") {
       options.latency_telemetry = false;
     } else {
@@ -334,6 +364,9 @@ int main(int argc, char** argv) {
 
   if (!script.empty()) return RunScript(&server, script);
   if (use_stdin) {
+    // Responses go to a pipe, where a reader that quits raises SIGPIPE;
+    // ignored, it becomes a write error that ends the stream instead.
+    std::signal(SIGPIPE, SIG_IGN);
     Status status =
         dmt::serve::ServeStream(&server, STDIN_FILENO, STDOUT_FILENO);
     return status.ok() ? 0 : Fail(status);
