@@ -111,13 +111,11 @@ uint64_t ServeCounter(const char* name) {
   return dmt::obs::Registry::Global().CounterValue(name);
 }
 
-// Args: clients, batch_size, cache_capacity, telemetry (the EXT-12
-// on/off overhead pair shares the clients=8/batch=8/cache=512 cell).
+// Args: clients, batch_size, cache_capacity.
 void BM_ServeReplay(benchmark::State& state) {
   const size_t clients = static_cast<size_t>(state.range(0));
   const uint32_t batch_size = static_cast<uint32_t>(state.range(1));
   const size_t cache_capacity = static_cast<size_t>(state.range(2));
-  const bool telemetry = state.range(3) != 0;
   const auto& traffic = ReplayTraffic();
 
   dmt::obs::Registry::Global().Reset();
@@ -125,7 +123,6 @@ void BM_ServeReplay(benchmark::State& state) {
   options.batch_size = batch_size;
   options.num_threads = 4;
   options.cache_capacity = cache_capacity;
-  options.latency_telemetry = telemetry;
   Server server(ServingBundle(), options);
 
   // Client-observed latency (submit -> response callback), recorded into
@@ -185,17 +182,10 @@ void Configs(benchmark::internal::Benchmark* bench) {
   for (int64_t clients : {1, 8, 64}) {
     for (int64_t batch : {1, 8, 64}) {
       for (int64_t cache : {0, 512}) {
-        bench->Args({clients, batch, cache, 1});
+        bench->Args({clients, batch, cache});
       }
     }
   }
-  // EXT-12: telemetry-off twins of the clients=8/batch=8 cells; each
-  // pair bounds the histogram+span recording overhead. cache=0 is the
-  // representative hot path (every request scans rules); cache=512 is
-  // the worst case for relative overhead (cache hits make the request
-  // itself nearly free).
-  bench->Args({8, 8, 0, 0});
-  bench->Args({8, 8, 512, 0});
   bench->Unit(benchmark::kMillisecond)->UseRealTime();
 }
 

@@ -102,7 +102,6 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
   const core::ParallelContext ctx(params.num_threads);
 
   obs::Counter intersections_counter("assoc/eclat/tidset_intersections");
-  const obs::CounterDelta intersections_delta(intersections_counter);
   obs::Span mine_span("assoc/eclat/mine");
   mine_span.AttachCounter(intersections_counter);
 
@@ -176,10 +175,9 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
     result.passes[d].pass = d + 1;
   }
   result.passes[0].candidates = db.item_universe();
-  // Publish the chunk-order-merged tally and re-read the public field
-  // through the registry, which is the source of truth for work counters.
+  // The result owns the merged tally; publish it once, while the mine
+  // span that attaches the counter is still open.
   intersections_counter.Add(result.tidset_intersections);
-  result.tidset_intersections = intersections_delta.Value();
   SortCanonical(&result.itemsets);
   return result;
 }

@@ -300,8 +300,6 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
 
   obs::Counter trees_counter("assoc/fp_growth/conditional_trees_built");
   obs::Counter nodes_counter("assoc/fp_growth/fp_nodes_allocated");
-  const obs::CounterDelta trees_delta(trees_counter);
-  const obs::CounterDelta nodes_delta(nodes_counter);
   obs::Span mine_span("assoc/fp_growth/mine");
   mine_span.AttachCounter(trees_counter);
   mine_span.AttachCounter(nodes_counter);
@@ -338,12 +336,10 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
           });
     }
   }
-  // Publish the chunk-order-merged tallies and re-read the public fields
-  // through the registry, which is the source of truth for work counters.
+  // The result owns the merged tallies; publish them once, while the
+  // mine span that attaches both counters is still open.
   trees_counter.Add(result.conditional_trees_built);
   nodes_counter.Add(result.fp_nodes_allocated);
-  result.conditional_trees_built = trees_delta.Value();
-  result.fp_nodes_allocated = nodes_delta.Value();
   SortCanonical(&result.itemsets);
 
   // Reconstruct per-size pass stats (pattern growth has no candidates

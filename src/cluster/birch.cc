@@ -254,11 +254,10 @@ Result<BirchResult> Birch(const PointSet& points,
   }
   const size_t dim = points.dim();
 
-  // BIRCH's global phase delegates to k-means, so its distance work lands
-  // in the k-means counter; the delta below spans both phases and the
-  // final labeling scan.
+  // BIRCH's global phase delegates to k-means, which publishes its own
+  // distance work to the k-means counter; BIRCH adds its labeling scan
+  // there too, so the run span's arg covers both.
   obs::Counter comps_counter("cluster/kmeans/distance_computations");
-  const obs::CounterDelta comps_delta(comps_counter);
   obs::Counter rebuilds_counter("cluster/birch/rebuilds");
   obs::Gauge leaf_entries_gauge("cluster/birch/leaf_entries");
   obs::Span run_span("cluster/birch/run");
@@ -316,8 +315,11 @@ Result<BirchResult> Birch(const PointSet& points,
   obs::Span label_span("cluster/birch/label");
   result.clustering.centers = std::move(global.centers);
   result.clustering.iterations = global.iterations;
-  comps_counter.Add(points.size() * result.clustering.centers.size());
-  result.clustering.distance_computations = comps_delta.Value();
+  const uint64_t label_comps =
+      points.size() * result.clustering.centers.size();
+  result.clustering.distance_computations =
+      global.distance_computations + label_comps;
+  comps_counter.Add(label_comps);
   result.clustering.assignments.resize(points.size());
   double sse = 0.0;
   for (size_t i = 0; i < points.size(); ++i) {

@@ -121,9 +121,7 @@ class AssignmentEngine {
         dim_(points.dim()),
         k_(options.k),
         dist_sq_(points.size(), 0.0),
-        comps_counter_("cluster/kmeans/distance_computations"),
-        comps_delta_(comps_counter_),
-        sharded_comps_(comps_counter_, ctx.NumChunks(points.size())) {
+        chunk_comps_(ctx.NumChunks(points.size()), 0) {
     if (options_.assignment != Assignment::kLloyd) {
       half_nearest_.assign(k_, 0.0);
       if (options_.assignment == Assignment::kHamerly) {
@@ -160,9 +158,12 @@ class AssignmentEngine {
         AssignElkan(centers, assignments);
       }
     }
-    // Ascending chunk order per the determinism contract (integer sums,
-    // so any order would match, but the contract keeps it auditable).
-    sharded_comps_.Drain();
+    // Fold the chunk-owned tallies after the barrier; integer sums, so
+    // the total does not depend on the chunking.
+    for (uint64_t& comps : chunk_comps_) {
+      comps_ += comps;
+      comps = 0;
+    }
   }
 
   /// Folds one update step's center movement into the maintained lower
@@ -189,7 +190,7 @@ class AssignmentEngine {
         max2 = m;
       }
     }
-    comps_counter_.Add(k_);
+    comps_ += k_;
     if (options_.assignment == Assignment::kHamerly) {
       // lower_[i] bounds the distance to every center except the
       // assigned one, so the assigned center's movement never applies;
@@ -213,13 +214,8 @@ class AssignmentEngine {
   /// the latest Assign() call (bit-identical across engines).
   const std::vector<double>& dist_sq() const { return dist_sq_; }
 
-  /// The engine's distance-evaluation tally, read back from the metrics
-  /// registry (the counter was snapshotted at engine construction, so
-  /// this is the work of this engine alone).
-  uint64_t distance_computations() const { return comps_delta_.Value(); }
-  void CountExternal(uint64_t comps) { comps_counter_.Add(comps); }
-
-  const obs::Counter& comps_counter() const { return comps_counter_; }
+  /// Distance evaluations made by this engine so far.
+  uint64_t distance_computations() const { return comps_; }
 
  private:
   /// All k distances of one point via the batched SIMD kernel, into the
@@ -249,7 +245,7 @@ class AssignmentEngine {
         dist_sq_[i] = best_d;
       }
     });
-    comps_counter_.Add(static_cast<uint64_t>(n_) * k_);
+    comps_ += static_cast<uint64_t>(n_) * k_;
   }
 
   /// First pruned-engine pass: a full Lloyd scan that also captures the
@@ -281,7 +277,7 @@ class AssignmentEngine {
         dist_sq_[i] = best_d2;
         if (!elkan) lower_[i] = std::sqrt(second_d2);
       }
-      sharded_comps_.Add(chunk, comps);
+      chunk_comps_[chunk] += comps;
     });
   }
 
@@ -328,7 +324,7 @@ class AssignmentEngine {
         dist_sq_[i] = best_d2;
         lower_[i] = std::sqrt(second_d2);
       }
-      sharded_comps_.Add(chunk, comps);
+      chunk_comps_[chunk] += comps;
     });
   }
 
@@ -372,7 +368,7 @@ class AssignmentEngine {
         (*assignments)[i] = best;
         dist_sq_[i] = best_d2;
       }
-      sharded_comps_.Add(chunk, comps);
+      chunk_comps_[chunk] += comps;
     });
   }
 
@@ -394,7 +390,7 @@ class AssignmentEngine {
         if (half < half_nearest_[b]) half_nearest_[b] = half;
       }
     }
-    comps_counter_.Add(static_cast<uint64_t>(k_) * (k_ - 1) / 2);
+    comps_ += static_cast<uint64_t>(k_) * (k_ - 1) / 2;
   }
 
   const PointSet& points_;
@@ -417,13 +413,11 @@ class AssignmentEngine {
   std::vector<double> center_dist_;
   /// Both pruned engines: 0.5 * distance to the nearest other center.
   std::vector<double> half_nearest_;
-  /// Distance evaluations flow into the registry: orchestrating-thread
-  /// bumps go straight to the counter, chunk-body tallies go through the
-  /// sharded slots and drain after the barrier. The delta (snapshotted at
-  /// construction) is the engine's own total.
-  obs::Counter comps_counter_;
-  obs::CounterDelta comps_delta_;
-  obs::ShardedCounter sharded_comps_;
+  /// Distance evaluations: orchestrating-thread work adds to comps_
+  /// directly; chunk bodies add to their own slot, folded into comps_
+  /// after each barrier.
+  std::vector<uint64_t> chunk_comps_;
+  uint64_t comps_ = 0;
 };
 
 Result<ClusteringResult> Run(const PointSet& points,
@@ -442,8 +436,10 @@ Result<ClusteringResult> Run(const PointSet& points,
   const core::ParallelContext ctx(options.num_threads);
 
   obs::Counter iterations_counter("cluster/kmeans/iterations");
+  obs::Counter comps_counter("cluster/kmeans/distance_computations");
   obs::Span run_span("cluster/kmeans/run");
   run_span.AttachCounter(iterations_counter);
+  run_span.AttachCounter(comps_counter);
 
   ClusteringResult result;
   uint64_t seeding_comps = 0;
@@ -455,8 +451,6 @@ Result<ClusteringResult> Run(const PointSet& points,
   result.assignments.assign(n, 0);
 
   AssignmentEngine engine(points, options, ctx);
-  engine.CountExternal(seeding_comps);
-  run_span.AttachCounter(engine.comps_counter());
 
   // The SSE reduction runs on this thread in index order so parallel
   // runs are bit-identical to serial ones.
@@ -539,7 +533,10 @@ Result<ClusteringResult> Run(const PointSet& points,
   // Final assignment against the last centers (keeps assignments and
   // centers mutually consistent).
   result.sse = assign_points();
-  result.distance_computations = engine.distance_computations();
+  result.distance_computations =
+      seeding_comps + engine.distance_computations();
+  // Publish once, while the run span that attaches the counter is open.
+  comps_counter.Add(result.distance_computations);
   return result;
 }
 

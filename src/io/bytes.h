@@ -93,7 +93,10 @@ class ByteReader {
       return Truncated("array of count", count);
     }
     std::vector<T> out(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (count > 0) {
+      std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
+    }
     pos_ += count * sizeof(T);
     return out;
   }

@@ -81,6 +81,8 @@ std::vector<std::byte> ContainerWriter::Serialize() const {
   std::memcpy(out.data() + sizeof(header), entries.data(),
               entries.size() * sizeof(SectionEntry));
   for (size_t s = 0; s < sections_.size(); ++s) {
+    // An empty section's data() may be null, which memcpy must not get.
+    if (sections_[s].second.empty()) continue;
     std::memcpy(out.data() + entries[s].offset, sections_[s].second.data(),
                 sections_[s].second.size());
   }

@@ -55,28 +55,6 @@ HistogramData Histogram::Data() const {
   return ReadSlot(*slot_);
 }
 
-ShardedHistogram::ShardedHistogram(Histogram histogram, size_t num_chunks)
-    : histogram_(histogram), shards_(num_chunks > 0 ? num_chunks : 1) {}
-
-void ShardedHistogram::Drain() {
-  internal::HistogramSlot* slot = histogram_.slot_;
-  for (Shard& shard : shards_) {
-    if (slot != nullptr) {
-      // The registry values are atomics only for cross-invocation
-      // safety; this drain runs on the orchestrating thread, merging
-      // shards in ascending chunk order.
-      slot->sum.fetch_add(shard.sum, std::memory_order_relaxed);
-      for (size_t i = 0; i < histogram_buckets::kNumBuckets; ++i) {
-        if (shard.buckets[i] != 0) {
-          slot->buckets[i].fetch_add(shard.buckets[i],
-                                     std::memory_order_relaxed);
-        }
-      }
-    }
-    shard = Shard{};
-  }
-}
-
 Registry& Registry::Global() {
   // Leaked singleton: handles may be read during static destruction (a
   // bench's trace flush, a test's atexit), so the registry must outlive

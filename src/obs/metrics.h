@@ -1,24 +1,24 @@
-// Deterministic metrics registry: named Counter/Gauge handles backed by a
-// process-global registry, so every algorithm reports work through one
-// schema instead of ad-hoc side channels.
+// Deterministic metrics registry: named Counter/Gauge/Histogram handles
+// backed by a process-global registry, so every algorithm reports work
+// through one schema instead of ad-hoc side channels.
 //
-// Determinism contract (the PR-1 contract, applied to metrics): counter
-// totals must be bit-identical at every thread count. Counters are
-// therefore bumped either (a) on the orchestrating thread from
-// chunk-invariant quantities, or (b) through a ShardedCounter whose
-// per-chunk slots are merged in ascending chunk order after the pool
-// barrier — never concurrently from inside chunk bodies. The slots
-// themselves are plain (non-atomic) integers because each chunk owns its
-// slot exclusively; the registry values are atomics only so that
-// independent algorithm invocations on different application threads
-// remain race-free.
-//
-// The existing public stats fields (MiningResult work counters,
+// The registry is a write-only sink for the library. Each run owns its
+// work counts: an algorithm tallies into locals (plain per-chunk slots
+// folded after the pool barrier, since each chunk owns its slot), fills
+// its public stats fields (MiningResult work counters,
 // ClusteringResult::distance_computations, TreeBuildStats::
-// split_scan_rows) are views over these registry counters: the algorithm
-// publishes its merged tallies to the registry and fills the field from a
-// CounterDelta read, so the registry is the source of truth and no public
-// API changes.
+// split_scan_rows) from those tallies, and publishes each total to the
+// registry with one Counter::Add while the span that attaches the
+// counter is still open. Nothing in the library reads a counter back
+// into a result, so two runs in one process never see each other's
+// work. Readers are the exporters (trace, Prometheus, stats JSON) and
+// tests.
+//
+// Determinism contract (DESIGN.md "Parallel execution", applied to
+// metrics): counter totals must be bit-identical at every thread count.
+// Per-chunk tallies are integer sums, so any fold order gives the same
+// total; the registry values are atomics only so that independent runs
+// on different application threads remain race-free.
 #ifndef DMT_OBS_METRICS_H_
 #define DMT_OBS_METRICS_H_
 
@@ -188,8 +188,7 @@ struct HistogramData {
 /// final bucket array is a pure function of the recorded multiset — so
 /// histograms of deterministic quantities (work shapes, element counts)
 /// are bit-identical at every thread count even when recorded
-/// concurrently. Inside chunk-parallel regions, use ShardedHistogram to
-/// keep the single-writer discipline of the PR-1 contract.
+/// concurrently.
 class Histogram {
  public:
   Histogram() = default;
@@ -211,93 +210,7 @@ class Histogram {
   const std::string& name() const;
 
  private:
-  friend class ShardedHistogram;
-
   internal::HistogramSlot* slot_ = nullptr;
-};
-
-/// Per-chunk histogram shards for parallel sections — the ShardedCounter
-/// pattern applied to distributions. Chunk bodies record into their own
-/// plain (non-atomic) slot; Drain() folds the slots into the registry
-/// histogram in ascending chunk order after the pool barrier. Reusable
-/// across parallel regions: Drain() zeroes the slots.
-class ShardedHistogram {
- public:
-  ShardedHistogram(Histogram histogram, size_t num_chunks);
-
-  /// Records `value` into chunk `chunk`'s slot. Valid only between
-  /// construction/Drain() and the next Drain(); must not be touched
-  /// after the owning chunk's task finished.
-  void Record(size_t chunk, uint64_t value) {
-    Shard& shard = shards_[chunk];
-    shard.sum += value;
-    shard.buckets[histogram_buckets::BucketIndex(value)] += 1;
-  }
-
-  /// Merges every shard into the registry histogram in ascending chunk
-  /// order and resets the shards. Call from the orchestrating thread
-  /// after the parallel region's barrier.
-  void Drain();
-
-  size_t num_shards() const { return shards_.size(); }
-
- private:
-  struct Shard {
-    uint64_t sum = 0;
-    std::array<uint64_t, histogram_buckets::kNumBuckets> buckets{};
-  };
-
-  Histogram histogram_;
-  std::vector<Shard> shards_;
-};
-
-/// Snapshot of a counter at construction; Value() returns what has been
-/// added since. Algorithms use this to fill their public stats fields
-/// from the registry (the "view" half of the contract) without being
-/// confused by earlier runs' contributions.
-class CounterDelta {
- public:
-  explicit CounterDelta(const Counter& counter)
-      : counter_(counter), start_(counter.value()) {}
-
-  uint64_t Value() const { return counter_.value() - start_; }
-
- private:
-  Counter counter_;
-  uint64_t start_;
-};
-
-/// Per-chunk counter shards for parallel sections. Chunk bodies bump
-/// their own slot with plain integer arithmetic (the chunk owns the slot,
-/// so no synchronization is involved); Drain() folds the slots into the
-/// registry counter in ascending chunk order after the pool barrier —
-/// the fixed merge order of the determinism contract. Reusable across
-/// parallel regions: Drain() zeroes the slots.
-class ShardedCounter {
- public:
-  ShardedCounter(Counter counter, size_t num_chunks)
-      : counter_(counter), shards_(num_chunks > 0 ? num_chunks : 1, 0) {}
-
-  /// The chunk-owned slot. Valid only between construction/Drain() and
-  /// the next Drain(); must not be touched after the owning chunk's task
-  /// finished.
-  void Add(size_t chunk, uint64_t delta) { shards_[chunk] += delta; }
-
-  /// Merges every shard into the registry counter in ascending chunk
-  /// order and resets the shards. Call from the orchestrating thread
-  /// after the parallel region's barrier.
-  void Drain() {
-    for (uint64_t& shard : shards_) {
-      counter_.Add(shard);
-      shard = 0;
-    }
-  }
-
-  size_t num_shards() const { return shards_.size(); }
-
- private:
-  Counter counter_;
-  std::vector<uint64_t> shards_;
 };
 
 /// Process-global registry of named counters and gauges.

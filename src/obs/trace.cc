@@ -199,8 +199,6 @@ void TraceSink::Flush() {
   std::fclose(f);
 }
 
-#ifndef DMT_OBS_DISABLED
-
 Span::Span(const char* name)
     : name_(name), active_(TraceSink::Global().enabled()) {
   if (!active_) return;
@@ -233,7 +231,5 @@ void Span::AttachCounter(const Counter& counter) {
   if (!active_) return;
   attached_.emplace_back(counter, counter.value());
 }
-
-#endif  // DMT_OBS_DISABLED
 
 }  // namespace dmt::obs

@@ -11,15 +11,11 @@
 // chrome://tracing or Perfetto, with the metrics-registry totals embedded
 // as a "dmtCounters" object.
 //
-// Off switches:
-//  - Runtime (default off): tracing is enabled by the DMT_TRACE=<path>
-//    environment variable or programmatically via TraceSink::Start /
-//    StartCollection. A disabled span costs one relaxed atomic load and a
-//    predicted branch — the "no measurable slowdown" number is checked by
-//    the EXT-7 bench, not asserted.
-//  - Compile time: -DDMT_OBS_DISABLED compiles Span to an empty object so
-//    tracing vanishes entirely. The metrics registry stays available in
-//    both modes because public stats fields read through it.
+// Off switch (default off): tracing is enabled by the DMT_TRACE=<path>
+// environment variable or programmatically via TraceSink::Start /
+// StartCollection. A disabled span costs one relaxed atomic load and a
+// predicted branch — the "no measurable slowdown" number is checked by
+// the EXT-7 bench, not asserted.
 //
 // Naming scheme: span names are static strings of the form
 // "<family>/<algorithm>/<phase>" (nested phases append segments, e.g.
@@ -139,8 +135,6 @@ class TraceSink {
   uint64_t dropped_ = 0;
 };
 
-#ifndef DMT_OBS_DISABLED
-
 /// RAII trace span. `name` must be a string with static storage duration
 /// (the sink stores the pointer). Non-copyable, non-movable; construct on
 /// the stack around the phase being measured.
@@ -157,7 +151,9 @@ class Span {
 
   /// Attaches a counter: the span records how much the counter grew
   /// between this call and the span's close, keyed by the counter's
-  /// registered name.
+  /// registered name. Algorithms publish their totals before the span
+  /// closes, so a solo run's arg equals its result field; a concurrent
+  /// run publishing to the same counter lands in the arg too.
   void AttachCounter(const Counter& counter);
 
  private:
@@ -168,22 +164,6 @@ class Span {
   std::vector<std::pair<std::string, uint64_t>> args_;
   std::vector<std::pair<Counter, uint64_t>> attached_;
 };
-
-#else  // DMT_OBS_DISABLED
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  // User-provided so a scoped `obs::Span s(...)` never trips
-  // -Wunused-variable in the disabled build.
-  ~Span() {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void AddArg(const char*, uint64_t) {}
-  void AttachCounter(const Counter&) {}
-};
-
-#endif  // DMT_OBS_DISABLED
 
 }  // namespace dmt::obs
 

@@ -55,8 +55,8 @@ class BatchQueue {
   struct Item {
     std::vector<std::byte> frame;
     ResponseCallback callback;
-    /// Telemetry stamp taken at Submit(); 0 when telemetry is off. The
-    /// worker credits submit -> prepare to the queue-wait histogram.
+    /// Telemetry stamp taken at Submit(). The worker credits submit ->
+    /// prepare to the queue-wait histogram.
     double submit_ts_us = 0.0;
   };
 

@@ -33,10 +33,6 @@ Status ServeOptions::Validate() const {
     return Status::InvalidArgument(
         "verify_cache_hits requires a cache (cache_capacity > 0)");
   }
-  if (slow_query_us > 0 && !latency_telemetry) {
-    return Status::InvalidArgument(
-        "slow_query_us requires latency_telemetry");
-  }
   return Status::OK();
 }
 
@@ -186,7 +182,6 @@ Status Server::ValidateRequest(const Request& request) const {
 }
 
 PreparedRequest Server::Prepare(std::span<const std::byte> frame) {
-  if (!options_.latency_telemetry) return PrepareImpl(frame);
   const double t0 = NowUs();
   PreparedRequest prepared = PrepareImpl(frame);
   prepared.start_ts_us = t0;
@@ -223,8 +218,7 @@ PreparedRequest Server::PrepareImpl(std::span<const std::byte> frame) {
       canonical.erase(std::unique(canonical.begin(), canonical.end()),
                       canonical.end());
       // Work-shape histogram: a pure function of the request stream, so
-      // part of the deterministic counter contract (recorded with
-      // telemetry on or off).
+      // part of the deterministic counter contract.
       hist_basket_items_.Record(canonical.size());
       prepared.canonical_baskets.push_back(std::move(canonical));
     }
@@ -455,7 +449,7 @@ Server::BatchTally Server::EvaluateBatch(
     std::span<PreparedRequest*> batch) const {
   obs::Span span("serve/batch");
   span.AddArg("requests", batch.size());
-  const double eval_start = options_.latency_telemetry ? NowUs() : 0.0;
+  const double eval_start = NowUs();
   BatchTally tally;
 
   std::vector<PreparedRequest*> by_model[3];
@@ -492,10 +486,8 @@ Server::BatchTally Server::EvaluateBatch(
     if (p->failed) continue;
     p->encoded = EncodeResponseFrame(p->response);
   }
-  if (options_.latency_telemetry) {
-    tally.eval_us = NowUs() - eval_start;
-    for (PreparedRequest* p : batch) p->eval_us = tally.eval_us;
-  }
+  tally.eval_us = NowUs() - eval_start;
+  for (PreparedRequest* p : batch) p->eval_us = tally.eval_us;
   return tally;
 }
 
@@ -510,9 +502,7 @@ void Server::FoldTally(const BatchTally& tally) {
   for (uint32_t scans : tally.basket_rule_scans) {
     hist_rules_scanned_.Record(scans);
   }
-  if (options_.latency_telemetry) {
-    lat_eval_.Record(ToMicros(tally.eval_us));
-  }
+  lat_eval_.Record(ToMicros(tally.eval_us));
 }
 
 void Server::InsertCacheMisses(const PreparedRequest& prepared) {
@@ -537,30 +527,23 @@ void Server::CountBatch(std::span<PreparedRequest*> batch) {
     ++bucket;
   }
   bucket_counters_[bucket].Increment();
-  if (options_.latency_telemetry) {
-    const uint64_t id =
-        next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-    for (PreparedRequest* p : batch) {
-      p->batch_id = id;
-      p->batch_requests = static_cast<uint32_t>(size);
-    }
+  const uint64_t id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
+  for (PreparedRequest* p : batch) {
+    p->batch_id = id;
+    p->batch_requests = static_cast<uint32_t>(size);
   }
 }
 
-double Server::TelemetryNowUs() const {
-  return options_.latency_telemetry ? NowUs() : 0.0;
-}
+double Server::TelemetryNowUs() const { return NowUs(); }
 
 void Server::RecordQueueWait(PreparedRequest* prepared,
                              double submit_ts_us) {
-  if (!options_.latency_telemetry) return;
   prepared->queue_us = prepared->start_ts_us - submit_ts_us;
   prepared->start_ts_us = submit_ts_us;
   lat_queue_.Record(ToMicros(prepared->queue_us));
 }
 
 void Server::RecordRequestDone(PreparedRequest* prepared) {
-  if (!options_.latency_telemetry) return;
   const double total = NowUs() - prepared->start_ts_us;
   const uint64_t total_us = ToMicros(total);
   lat_total_.Record(total_us);

@@ -67,16 +67,8 @@ struct ServeOptions {
   /// Debug mode: recompute every cache hit and abort on any mismatch —
   /// the "asserted, not assumed" half of the cache contract.
   bool verify_cache_hits = false;
-  /// Per-request latency telemetry: stage/total latency histograms,
-  /// per-request trace spans (under DMT_TRACE), and the slow-query log.
-  /// Responses are bit-identical with it on or off; off removes every
-  /// clock read from the hot path (the EXT-12 overhead bound measures
-  /// on vs off). Deterministic work-shape histograms (serve/hist/*) are
-  /// part of the counter contract and record regardless.
-  bool latency_telemetry = true;
   /// Emit a structured obs::Log warning for any request whose total
-  /// latency reaches this many microseconds; 0 disables. Requires
-  /// latency_telemetry.
+  /// latency reaches this many microseconds; 0 disables.
   uint64_t slow_query_us = 0;
 
   core::Status Validate() const;
@@ -102,9 +94,9 @@ struct PreparedRequest {
   std::vector<std::string> cache_keys;
   std::vector<std::optional<std::vector<RuleHit>>> cached_hits;
 
-  // Latency-telemetry stamps (zero and unused when the option is off).
-  // All times are microseconds since the trace epoch, so the per-request
-  // span lands on the same timebase as every obs::Span.
+  // Latency-telemetry stamps. All times are microseconds since the trace
+  // epoch, so the per-request span lands on the same timebase as every
+  // obs::Span.
   double start_ts_us = 0.0;  ///< Submit (async) or Prepare (sync) time.
   double prepare_us = 0.0;   ///< Decode + validate + canonicalize.
   double queue_us = 0.0;     ///< Async path: submit -> batch start.
@@ -158,7 +150,7 @@ class Server {
     /// Rules scanned per scored basket, in basket order — folded into
     /// the serve/hist/rules_scanned histogram.
     std::vector<uint32_t> basket_rule_scans;
-    /// Batch evaluation wall time (latency telemetry only; 0 otherwise).
+    /// Batch evaluation wall time.
     double eval_us = 0.0;
   };
   BatchTally EvaluateBatch(std::span<PreparedRequest*> batch) const;
@@ -177,8 +169,7 @@ class Server {
   /// id / size onto its requests for the per-request telemetry.
   void CountBatch(std::span<PreparedRequest*> batch);
 
-  /// Telemetry clock: microseconds since the trace epoch, or 0 when
-  /// latency telemetry is off (so callers may stamp unconditionally).
+  /// Telemetry clock: microseconds since the trace epoch.
   double TelemetryNowUs() const;
 
   /// Async path: credits the submit -> batch-start wait to the queue-wait
@@ -189,7 +180,7 @@ class Server {
   /// Finalizes one request's telemetry once its response frame is ready:
   /// total + per-type latency histograms, the per-request trace span
   /// (request id, batch id, cache hit/miss as args), and the slow-query
-  /// log. No-op when latency telemetry is off.
+  /// log.
   void RecordRequestDone(PreparedRequest* prepared);
 
   /// Current serving stats as a JSON object (bundle inventory, options,
@@ -240,12 +231,11 @@ class Server {
   std::vector<obs::Counter> bucket_counters_;
 
   // Deterministic work-shape histograms (part of the counter contract:
-  // bit-identical at every batch size × thread count × telemetry
-  // setting).
+  // bit-identical at every batch size × thread count).
   obs::Histogram hist_basket_items_;
   obs::Histogram hist_rules_scanned_;
-  // Latency histograms (latency_telemetry only; wall-time valued, so
-  // only their _count is deterministic).
+  // Latency histograms (wall-time valued, so only their _count is
+  // deterministic).
   obs::Histogram lat_total_;
   obs::Histogram lat_prepare_;
   obs::Histogram lat_queue_;

@@ -98,7 +98,6 @@ class TreeBuilderImpl {
   DecisionTree Build(TreeBuildStats* stats) {
     obs::Counter scan_rows_counter("tree/greedy/split_scan_rows");
     obs::Counter nodes_counter("tree/greedy/nodes");
-    const obs::CounterDelta scan_rows_delta(scan_rows_counter);
     obs::Span build_span("tree/greedy/build");
     build_span.AttachCounter(scan_rows_counter);
     build_span.AttachCounter(nodes_counter);
@@ -123,14 +122,13 @@ class TreeBuilderImpl {
       obs::Span grow_span("tree/greedy/grow");
       Grow(&tree, std::move(root), 0);
     }
-    // Publish the per-chunk scan tallies in ascending chunk order (the
-    // determinism contract's merge order) and read the public stats field
-    // back through the registry.
-    for (const ScanScratch& s : scratch_) scan_rows_counter.Add(s.scan_rows);
+    // Fold the per-chunk scan tallies into this build's total and
+    // publish it once, while the build span is still open.
+    uint64_t scan_rows = 0;
+    for (const ScanScratch& s : scratch_) scan_rows += s.scan_rows;
+    scan_rows_counter.Add(scan_rows);
     nodes_counter.Add(internal::TreeAccess::Nodes(tree).size());
-    if (stats != nullptr) {
-      stats->split_scan_rows = scan_rows_delta.Value();
-    }
+    if (stats != nullptr) stats->split_scan_rows = scan_rows;
     return tree;
   }
 

@@ -75,7 +75,6 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
 
   obs::Counter scan_rows_counter("tree/sliq/split_scan_rows");
   obs::Counter levels_counter("tree/sliq/levels");
-  const obs::CounterDelta scan_rows_delta(scan_rows_counter);
   obs::Span build_span("tree/sliq/build");
   build_span.AttachCounter(scan_rows_counter);
   build_span.AttachCounter(levels_counter);
@@ -304,13 +303,12 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
     slot_counts = std::move(next_slot_counts);
     ++depth;
   }
-  // Publish the per-chunk scan tallies in ascending chunk order (the
-  // determinism contract's merge order) and read the public stats field
-  // back through the registry.
-  for (const LevelScratch& s : scratch) scan_rows_counter.Add(s.scan_rows);
-  if (stats != nullptr) {
-    stats->split_scan_rows = scan_rows_delta.Value();
-  }
+  // Fold the per-chunk scan tallies into this build's total and publish
+  // it once, while the build span is still open.
+  uint64_t scan_rows = 0;
+  for (const LevelScratch& s : scratch) scan_rows += s.scan_rows;
+  scan_rows_counter.Add(scan_rows);
+  if (stats != nullptr) stats->split_scan_rows = scan_rows;
   return tree;
 }
 

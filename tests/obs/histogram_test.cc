@@ -1,8 +1,8 @@
 // Coverage for the deterministic histogram metric (obs/metrics.h): the
 // fixed bucket layout (boundary ±1 sweep over every bound), nearest-rank
-// percentile readout, record/merge-order invariance (the property the
-// serving telemetry's bit-identity tests build on), ShardedHistogram
-// drain-in-order semantics, and registry snapshot/reset behaviour.
+// percentile readout, record-order invariance (the property the serving
+// telemetry's bit-identity tests build on), and registry snapshot/reset
+// behaviour.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -140,46 +140,6 @@ TEST(HistogramTest, BucketArrayInvariantUnderRecordingOrder) {
   for (double p = 0.5; p <= 100.0; p += 0.5) {
     ASSERT_EQ(f.Percentile(p), b.Percentile(p)) << "p" << p;
   }
-}
-
-TEST(ShardedHistogramTest, DrainMatchesDirectRecording) {
-  Histogram direct("test/hist/sharded_direct");
-  Histogram sharded_target("test/hist/sharded_merged");
-  ShardedHistogram sharded(sharded_target, 3);
-  EXPECT_EQ(sharded.num_shards(), 3u);
-
-  std::vector<uint64_t> samples;
-  for (uint64_t i = 0; i < 100; ++i) samples.push_back(i * 37 % 500);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    direct.Record(samples[i]);
-    sharded.Record(i % 3, samples[i]);
-  }
-  // Nothing reaches the registry before the drain.
-  EXPECT_EQ(sharded_target.Data().count, 0u);
-  sharded.Drain();
-
-  const HistogramData d = direct.Data();
-  const HistogramData s = sharded_target.Data();
-  EXPECT_EQ(d.count, s.count);
-  EXPECT_EQ(d.sum, s.sum);
-  EXPECT_EQ(d.buckets, s.buckets);
-}
-
-TEST(ShardedHistogramTest, ReusableAcrossDrains) {
-  Histogram target("test/hist/sharded_reuse");
-  ShardedHistogram sharded(target, 2);
-  sharded.Record(0, 4);
-  sharded.Record(1, 8);
-  sharded.Drain();
-  EXPECT_EQ(target.Data().count, 2u);
-  // Drain zeroed the shards: a second drain adds nothing.
-  sharded.Drain();
-  EXPECT_EQ(target.Data().count, 2u);
-  sharded.Record(0, 15);
-  sharded.Drain();
-  const HistogramData data = target.Data();
-  EXPECT_EQ(data.count, 3u);
-  EXPECT_EQ(data.sum, 27u);
 }
 
 TEST(RegistryHistogramTest, SnapshotSortedAndValueLookup) {

@@ -49,48 +49,6 @@ TEST(GaugeTest, DefaultConstructedIsNoopSink) {
   EXPECT_EQ(g.value(), 0.0);
 }
 
-TEST(CounterDeltaTest, SeesOnlyAddsAfterConstruction) {
-  Counter c("test/metrics/delta");
-  c.Add(100);
-  CounterDelta delta(c);
-  EXPECT_EQ(delta.Value(), 0u);
-  c.Add(7);
-  c.Increment();
-  EXPECT_EQ(delta.Value(), 8u);
-  EXPECT_EQ(c.value(), 108u);
-}
-
-TEST(ShardedCounterTest, DrainMergesEveryShard) {
-  Counter c("test/metrics/sharded");
-  ShardedCounter sharded(c, 4);
-  EXPECT_EQ(sharded.num_shards(), 4u);
-  sharded.Add(0, 1);
-  sharded.Add(2, 10);
-  sharded.Add(3, 100);
-  EXPECT_EQ(c.value(), 0u) << "shards must not publish before Drain";
-  sharded.Drain();
-  EXPECT_EQ(c.value(), 111u);
-}
-
-TEST(ShardedCounterTest, ReusableAcrossParallelRegions) {
-  Counter c("test/metrics/sharded_reuse");
-  ShardedCounter sharded(c, 2);
-  sharded.Add(0, 5);
-  sharded.Drain();
-  sharded.Add(1, 6);
-  sharded.Drain();
-  EXPECT_EQ(c.value(), 11u) << "Drain must zero the shards";
-}
-
-TEST(ShardedCounterTest, ZeroChunksGetsOneShard) {
-  Counter c("test/metrics/sharded_zero");
-  ShardedCounter sharded(c, 0);
-  EXPECT_EQ(sharded.num_shards(), 1u);
-  sharded.Add(0, 9);
-  sharded.Drain();
-  EXPECT_EQ(c.value(), 9u);
-}
-
 TEST(RegistryTest, SnapshotIsSortedByName) {
   Counter b("test/metrics/sort/b");
   Counter a("test/metrics/sort/a");

@@ -347,10 +347,6 @@ TEST(ServeOptionsTest, ValidateRejectsOutOfRangeValues) {
   EXPECT_TRUE(rejected([](ServeOptions* o) { o->cache_shards = 0; }));
   EXPECT_TRUE(rejected([](ServeOptions* o) { o->cache_shards = 4097; }));
   EXPECT_TRUE(rejected([](ServeOptions* o) { o->verify_cache_hits = true; }));
-  EXPECT_TRUE(rejected([](ServeOptions* o) {
-    o->slow_query_us = 10;
-    o->latency_telemetry = false;
-  }));
 }
 
 // --------------------------------------------------- server robustness

@@ -128,15 +128,13 @@ struct RunResult {
 RunResult RunConfig(std::shared_ptr<const ModelBundle> bundle,
                     const Workload& load, uint32_t batch_size,
                     size_t num_threads, size_t cache_capacity,
-                    bool verify_cache_hits = false,
-                    bool latency_telemetry = true) {
+                    bool verify_cache_hits = false) {
   obs::Registry::Global().Reset();
   ServeOptions options;
   options.batch_size = batch_size;
   options.num_threads = num_threads;
   options.cache_capacity = cache_capacity;
   options.verify_cache_hits = verify_cache_hits;
-  options.latency_telemetry = latency_telemetry;
   Server server(std::move(bundle), options);
 
   RunResult result;
@@ -255,36 +253,6 @@ TEST(ServingDiffTest, HistogramsBitIdenticalAcrossThreadsAndBatches) {
       }
     }
   }
-}
-
-TEST(ServingDiffTest, TelemetryOffIsByteAndWorkIdentical) {
-  auto bundle = testutil::MakeTestBundle();
-  Workload load = MakeWorkload(*bundle);
-
-  const RunResult on =
-      RunConfig(bundle, load, /*batch_size=*/8, /*threads=*/2, /*cache=*/64);
-  const RunResult off =
-      RunConfig(bundle, load, /*batch_size=*/8, /*threads=*/2, /*cache=*/64,
-                /*verify_cache_hits=*/false, /*latency_telemetry=*/false);
-
-  // Telemetry must never change a response byte or a work counter.
-  ASSERT_EQ(off.responses.size(), on.responses.size());
-  for (size_t i = 0; i < off.responses.size(); ++i) {
-    EXPECT_EQ(off.responses[i], on.responses[i])
-        << "telemetry on/off response divergence at request " << i;
-  }
-  EXPECT_EQ(off.counters, on.counters);
-  // Work-shape histograms record regardless of the telemetry switch.
-  EXPECT_EQ(off.work_histograms, on.work_histograms);
-  // Latency histograms: populated with telemetry on, silent when off.
-  uint64_t on_samples = 0;
-  uint64_t off_samples = 0;
-  for (const auto& [name, count] : on.latency_counts) on_samples += count;
-  for (const auto& [name, count] : off.latency_counts) {
-    off_samples += count;
-  }
-  EXPECT_GT(on_samples, 0u);
-  EXPECT_EQ(off_samples, 0u);
 }
 
 TEST(ServingDiffTest, CacheCountersObeyTheirInvariants) {

@@ -4,8 +4,9 @@
 # ThreadSanitizer build
 # that runs the thread-pool unit tests and the serial-vs-parallel
 # differential tests for every parallelized miner (plus the out-of-core
-# differential and container-corruption tests), then an AddressSanitizer
-# build that re-runs the io corruption battery, then a bench smoke
+# differential and container-corruption tests, and the concurrent-runs
+# test), then an AddressSanitizer + UndefinedBehaviorSanitizer build that
+# re-runs the io corruption battery, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -69,6 +70,7 @@ TSAN_TARGETS=(
   io_corruption_test
   serve_protocol_test
   serving_diff_test
+  integration_concurrent_runs_test
 )
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_TARGETS[@]}"
 
@@ -93,9 +95,12 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # socket stream tests all run under TSan here.
 "$ROOT/build-tsan/tests/serve/serve_protocol_test"
 "$ROOT/build-tsan/tests/serve/serving_diff_test"
+# Two runs of one algorithm (or BIRCH next to k-means) on two threads,
+# publishing to the same registry counters.
+"$ROOT/build-tsan/tests/integration/integration_concurrent_runs_test"
 
 echo
-echo "== tier 2b: AddressSanitizer build (DMT_SANITIZE=address) =="
+echo "== tier 2b: AddressSanitizer + UBSan build (DMT_SANITIZE=address) =="
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DDMT_SANITIZE=address \
   -DDMT_BUILD_BENCHMARKS=OFF \
@@ -108,9 +113,12 @@ ASAN_TARGETS=(
   serving_diff_test
   obs_histogram_test
   obs_expose_test
+  integration_concurrent_runs_test
 )
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TARGETS[@]}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
+# -fno-sanitize-recover makes any UBSan finding fatal; show where it was.
+export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-asan/tests/io/io_corruption_test"
 "$ROOT/build-asan/tests/io/io_roundtrip_test"
 # The kernels test sweeps every level's tails and alignments, which is
@@ -126,6 +134,7 @@ export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 # indexing — run it (and the bucket-boundary sweep) under ASan.
 "$ROOT/build-asan/tests/obs/obs_histogram_test"
 "$ROOT/build-asan/tests/obs/obs_expose_test"
+"$ROOT/build-asan/tests/integration/integration_concurrent_runs_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
@@ -391,10 +400,9 @@ done
 echo "  bad numeric flags: usage error ok"
 
 # bench_serving at one tiny configuration; the EXT-10 columns must land
-# in the JSON record. (The fourth benchmark arg is the EXT-12 telemetry
-# toggle.)
+# in the JSON record.
 "$BENCH_DIR/bench_serving" --no-table \
-  --benchmark_filter='BM_ServeReplay/1/8/512/1/real_time' \
+  --benchmark_filter='BM_ServeReplay/1/8/512/real_time' \
   --json "$SMOKE_DIR/serving.json" >/dev/null
 json_check "$SMOKE_DIR/serving.json" qps p50_us p99_us mean_batch \
   cache_hit_rate

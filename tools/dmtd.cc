@@ -19,8 +19,9 @@
 // sign, blanks, or a value too large for its field is a usage error.
 // Telemetry flags: --metrics-path <file> (periodic Prometheus-text dump
 // of the full registry), --metrics-interval-ms N (default 1000),
-// --slow-query-us N (log a structured warning for slower requests),
-// --no-telemetry (drop per-request latency recording entirely).
+// --slow-query-us N (log a structured warning for slower requests).
+// Per-request latency telemetry (latency histograms, per-request trace
+// spans) is always on; EXPERIMENTS.md EXT-12 puts its cost within noise.
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -75,7 +76,7 @@ int Usage() {
       "serving flags: --batch-size N --threads N --cache N\n"
       "               --cache-shards N --verify-cache\n"
       "telemetry flags: --metrics-path <file> --metrics-interval-ms N\n"
-      "                 --slow-query-us N --no-telemetry\n");
+      "                 --slow-query-us N\n");
   return 2;
 }
 
@@ -316,8 +317,6 @@ int main(int argc, char** argv) {
       if (!ParseFlag(arg, argv[++i], &options.slow_query_us)) {
         return Usage();
       }
-    } else if (arg == "--no-telemetry") {
-      options.latency_telemetry = false;
     } else {
       return Usage();
     }
