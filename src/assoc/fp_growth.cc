@@ -1,6 +1,7 @@
 #include "assoc/fp_growth.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -18,14 +19,15 @@ namespace {
 /// FP-tree node; nodes live in one flat arena, links are indices. Nodes
 /// carry the *header position* of their item (the item itself is
 /// header[pos].item), so conditional-base recounting and position
-/// remapping index flat arrays instead of hash maps.
+/// remapping index flat arrays instead of hash maps. There are no child
+/// links: FpTree::Build creates the nodes in preorder, so the only
+/// questions asked of children (is the tree one chain, and what is on it)
+/// are answered by the node order itself.
 struct FpNode {
   uint32_t pos = 0;
   uint32_t count = 0;
   uint32_t parent = kNull;
   uint32_t node_link = kNull;  // next node carrying the same item
-  // (pos, node index) pairs; branching factors are small, linear search.
-  std::vector<std::pair<uint32_t, uint32_t>> children;
 
   static constexpr uint32_t kNull = 0xffffffffu;
 };
@@ -36,66 +38,76 @@ struct HeaderEntry {
   uint32_t link_head = FpNode::kNull;
 };
 
+/// Weighted paths in one flat buffer, reused from tree to tree: path i is
+/// the positions [begin, begin + size) with weight `count`.
+struct PathBuffer {
+  struct Path {
+    size_t begin = 0;
+    uint32_t size = 0;
+    uint32_t count = 0;
+  };
+
+  std::vector<uint32_t> positions;
+  std::vector<Path> paths;
+
+  std::span<const uint32_t> Positions(const Path& path) const {
+    return {positions.data() + path.begin, path.size};
+  }
+};
+
 /// An FP-tree: arena of nodes plus a header table ordered by descending
 /// total count (the construction order of the tree paths).
 struct FpTree {
   std::vector<FpNode> nodes;  // nodes[0] is the root
   std::vector<HeaderEntry> header;
 
-  FpTree() { nodes.emplace_back(); }
-
-  uint32_t AddChild(uint32_t parent, uint32_t pos) {
-    for (auto& [child_pos, child_index] : nodes[parent].children) {
-      if (child_pos == pos) return child_index;
-    }
-    uint32_t index = static_cast<uint32_t>(nodes.size());
-    FpNode node;
-    node.pos = pos;
-    node.parent = parent;
-    nodes.push_back(node);
-    nodes[parent].children.emplace_back(pos, index);
-    return index;
-  }
-
-  /// Inserts one (already ordered, filtered) path with a count, wiring
-  /// node links through `link_tail` (per header position).
-  void InsertPath(std::span<const uint32_t> header_positions, uint32_t count,
-                  std::vector<uint32_t>* link_tails) {
-    uint32_t current = 0;
-    for (uint32_t pos : header_positions) {
-      uint32_t before = static_cast<uint32_t>(nodes.size());
-      uint32_t child = AddChild(current, pos);
-      if (child >= before) {
-        // Fresh node: append to the item's node-link chain.
-        if ((*link_tails)[pos] == FpNode::kNull) {
-          header[pos].link_head = child;
-        } else {
-          nodes[(*link_tails)[pos]].node_link = child;
-        }
-        (*link_tails)[pos] = child;
+  /// Rebuilds the nodes from `buffer`, whose paths hold ascending
+  /// positions into the (already filled) header; empty paths are allowed.
+  /// Sorted lexicographically, each path shares its prefix with the path
+  /// before it and every node below that prefix is new, so there is no
+  /// child search. A tree's nodes are its distinct path prefixes, so the
+  /// tree is the same in any path order; only the node numbering (preorder
+  /// here) depends on the build.
+  void Build(PathBuffer* buffer) {
+    std::sort(buffer->paths.begin(), buffer->paths.end(),
+              [buffer](const PathBuffer::Path& a, const PathBuffer::Path& b) {
+                return std::ranges::lexicographical_compare(
+                    buffer->Positions(a), buffer->Positions(b));
+              });
+    nodes.assign(1, FpNode{});
+    std::span<const uint32_t> previous;
+    uint32_t tail = 0;  // deepest node of the previous path
+    for (const PathBuffer::Path& path : buffer->paths) {
+      std::span<const uint32_t> positions = buffer->Positions(path);
+      const size_t shared =
+          std::ranges::mismatch(positions, previous).in1 - positions.begin();
+      uint32_t node = tail;
+      for (size_t depth = previous.size(); depth > shared; --depth) {
+        node = nodes[node].parent;
       }
-      nodes[child].count += count;
-      current = child;
+      tail = node;
+      for (; node != 0; node = nodes[node].parent) {
+        nodes[node].count += path.count;
+      }
+      for (size_t depth = shared; depth < positions.size(); ++depth) {
+        const uint32_t pos = positions[depth];
+        const auto index = static_cast<uint32_t>(nodes.size());
+        nodes.push_back({pos, path.count, tail, header[pos].link_head});
+        header[pos].link_head = index;
+        tail = index;
+      }
+      previous = positions;
     }
   }
 
-  /// True when the tree consists of a single chain below the root.
+  /// True when the tree consists of a single chain below the root: in
+  /// preorder, exactly when every node hangs off the node before it.
   bool IsSinglePath() const {
-    uint32_t current = 0;
-    while (true) {
-      const auto& children = nodes[current].children;
-      if (children.empty()) return true;
-      if (children.size() > 1) return false;
-      current = children[0].second;
+    for (uint32_t i = 1; i < nodes.size(); ++i) {
+      if (nodes[i].parent != i - 1) return false;
     }
+    return true;
   }
-};
-
-/// One weighted path of a conditional pattern base, as positions into the
-/// parent tree's header (root-to-node order after the reverse).
-struct WeightedPath {
-  std::vector<uint32_t> positions;
-  uint32_t count = 0;
 };
 
 class FpMiner {
@@ -108,10 +120,11 @@ class FpMiner {
         result_(result) {}
 
   /// Mines every header entry of `tree` with the given suffix, from least
-  /// to most frequent (bottom-up).
-  void Mine(const FpTree& tree, const Itemset& suffix) {
+  /// to most frequent (bottom-up). `depth` picks the scratch tree the
+  /// entries' conditional trees are built in.
+  void Mine(const FpTree& tree, const Itemset& suffix, size_t depth) {
     for (size_t h = tree.header.size(); h-- > 0;) {
-      MineEntry(tree, h, suffix);
+      MineEntry(tree, h, suffix, depth);
     }
   }
 
@@ -119,7 +132,8 @@ class FpMiner {
   /// pattern base, and recurses into the conditional tree. Entries are
   /// independent of each other, which is what makes the top level a task
   /// range for MinePartitioned.
-  void MineEntry(const FpTree& tree, size_t h, const Itemset& suffix) {
+  void MineEntry(const FpTree& tree, size_t h, const Itemset& suffix,
+                 size_t depth) {
     const HeaderEntry& entry = tree.header[h];
     Itemset pattern = suffix;
     pattern.insert(
@@ -128,49 +142,31 @@ class FpMiner {
     Emit(pattern, entry.total_count);
     if (max_size_ != 0 && pattern.size() >= max_size_) return;
 
-    // Conditional pattern base: prefix paths of every node of this item,
-    // recorded as positions into `tree`'s header.
-    std::vector<WeightedPath> base;
-    for (uint32_t node = entry.link_head; node != FpNode::kNull;
-         node = tree.nodes[node].node_link) {
-      WeightedPath path;
-      path.count = tree.nodes[node].count;
-      for (uint32_t up = tree.nodes[node].parent; up != 0;
-           up = tree.nodes[up].parent) {
-        path.positions.push_back(tree.nodes[up].pos);
-      }
-      if (path.positions.empty()) continue;
-      std::reverse(path.positions.begin(), path.positions.end());
-      base.push_back(std::move(path));
-    }
-    if (base.empty()) return;
-    FpTree conditional = BuildConditionalTree(base, tree);
-    if (conditional.header.empty()) return;
+    // One conditional tree per depth, rebuilt in place for each entry, so
+    // every arena keeps its capacity. A deque never moves its elements,
+    // so `tree` (one depth up) stays valid while a new depth is added.
+    if (conditionals_.size() <= depth) conditionals_.emplace_back();
+    FpTree& conditional = conditionals_[depth];
+    if (!BuildConditionalTree(tree, entry, &conditional)) return;
     if (single_path_opt_ && conditional.IsSinglePath()) {
-      EmitSinglePathCombinations(conditional, pattern);
+      EmitSinglePathCombinations(conditional, pattern, depth + 1);
     } else {
-      Mine(conditional, pattern);
+      Mine(conditional, pattern, depth + 1);
     }
   }
 
   /// Emits every combination of the single path's items (support = the
   /// count of the deepest selected node — counts are non-increasing down
   /// the path, so each node's count is the support of any combination
-  /// whose deepest member it is).
-  void EmitSinglePathCombinations(const FpTree& tree, const Itemset& suffix) {
-    std::vector<std::pair<ItemId, uint32_t>> path;  // (item, count)
-    uint32_t current = 0;
-    while (!tree.nodes[current].children.empty()) {
-      current = tree.nodes[current].children[0].second;
-      path.emplace_back(tree.header[tree.nodes[current].pos].item,
-                        tree.nodes[current].count);
-    }
-    if (path.size() > 30) {
+  /// whose deepest member it is). The chain is nodes 1..n in order.
+  void EmitSinglePathCombinations(const FpTree& tree, const Itemset& suffix,
+                                  size_t depth) {
+    const size_t n = tree.nodes.size() - 1;
+    if (n > 30) {
       // Too many combinations to enumerate directly; recurse instead.
-      Mine(tree, suffix);
+      Mine(tree, suffix, depth);
       return;
     }
-    const size_t n = path.size();
     Itemset items;
     for (uint32_t mask = 1; mask < (1u << n); ++mask) {
       // The deepest selected node bounds the combination's support.
@@ -178,10 +174,11 @@ class FpMiner {
       items = suffix;
       for (size_t bit = 0; bit < n; ++bit) {
         if (mask & (1u << bit)) {
-          items.insert(
-              std::lower_bound(items.begin(), items.end(), path[bit].first),
-              path[bit].first);
-          support = path[bit].second;
+          const FpNode& node = tree.nodes[bit + 1];
+          const ItemId item = tree.header[node.pos].item;
+          items.insert(std::lower_bound(items.begin(), items.end(), item),
+                       item);
+          support = node.count;
         }
       }
       if (max_size_ != 0 && items.size() > max_size_) continue;
@@ -190,38 +187,37 @@ class FpMiner {
   }
 
   /// Builds the top-level tree from the database.
-  static FpTree BuildRootTree(const TransactionDatabase& db,
-                              uint32_t min_count, size_t* num_frequent) {
-    FpTree tree;
+  static void BuildRootTree(const TransactionDatabase& db, uint32_t min_count,
+                            FpTree* tree) {
     std::vector<uint32_t> supports = db.ItemSupports();
     // Header: frequent items by descending count, ties by ascending id.
     for (ItemId item = 0; item < supports.size(); ++item) {
       if (supports[item] >= min_count) {
-        tree.header.push_back({item, supports[item], FpNode::kNull});
+        tree->header.push_back({item, supports[item], FpNode::kNull});
       }
     }
-    std::stable_sort(tree.header.begin(), tree.header.end(),
+    std::stable_sort(tree->header.begin(), tree->header.end(),
                      [](const HeaderEntry& a, const HeaderEntry& b) {
                        return a.total_count > b.total_count;
                      });
-    *num_frequent = tree.header.size();
     std::vector<uint32_t> item_to_pos(supports.size(), FpNode::kNull);
-    for (uint32_t pos = 0; pos < tree.header.size(); ++pos) {
-      item_to_pos[tree.header[pos].item] = pos;
+    for (uint32_t pos = 0; pos < tree->header.size(); ++pos) {
+      item_to_pos[tree->header[pos].item] = pos;
     }
-    std::vector<uint32_t> link_tails(tree.header.size(), FpNode::kNull);
-    std::vector<uint32_t> positions;
+    PathBuffer buffer;
     for (size_t t = 0; t < db.size(); ++t) {
-      positions.clear();
+      const size_t begin = buffer.positions.size();
       for (ItemId item : db.transaction(t)) {
         if (item_to_pos[item] != FpNode::kNull) {
-          positions.push_back(item_to_pos[item]);
+          buffer.positions.push_back(item_to_pos[item]);
         }
       }
-      std::sort(positions.begin(), positions.end());
-      tree.InsertPath(positions, 1, &link_tails);
+      const auto size = static_cast<uint32_t>(buffer.positions.size() - begin);
+      if (size == 0) continue;
+      std::sort(buffer.positions.begin() + begin, buffer.positions.end());
+      buffer.paths.push_back({begin, size, 1});
     }
-    return tree;
+    tree->Build(&buffer);
   }
 
  private:
@@ -229,64 +225,87 @@ class FpMiner {
     result_->itemsets.push_back({items, support});
   }
 
-  /// Projects a conditional tree from `base`. Every position in `base`
-  /// indexes `parent`'s header, so the recount and the parent-to-child
-  /// position remap are flat arrays over the parent header size.
-  FpTree BuildConditionalTree(const std::vector<WeightedPath>& base,
-                              const FpTree& parent) {
+  /// Projects the conditional tree of `entry` (an entry of `parent`'s
+  /// header) into `tree`. Returns false when there is nothing to mine:
+  /// the pattern base is empty (no tree is counted) or no item of it is
+  /// frequent. Every base position indexes `parent`'s header, so the
+  /// recount and the parent-to-child position remap are flat arrays over
+  /// the parent header size.
+  bool BuildConditionalTree(const FpTree& parent, const HeaderEntry& entry,
+                            FpTree* tree) {
+    // Conditional pattern base: the prefix path of every node of this
+    // item, leaf to root, recounted on the way.
     const size_t parent_size = parent.header.size();
     base_counts_.assign(parent_size, 0);
-    for (const auto& path : base) {
-      for (uint32_t pos : path.positions) base_counts_[pos] += path.count;
+    paths_.positions.clear();
+    paths_.paths.clear();
+    for (uint32_t node = entry.link_head; node != FpNode::kNull;
+         node = parent.nodes[node].node_link) {
+      const uint32_t count = parent.nodes[node].count;
+      const size_t begin = paths_.positions.size();
+      for (uint32_t up = parent.nodes[node].parent; up != 0;
+           up = parent.nodes[up].parent) {
+        paths_.positions.push_back(parent.nodes[up].pos);
+        base_counts_[parent.nodes[up].pos] += count;
+      }
+      const auto size =
+          static_cast<uint32_t>(paths_.positions.size() - begin);
+      if (size != 0) paths_.paths.push_back({begin, size, count});
     }
+    if (paths_.paths.empty()) return false;
+    ++result_->conditional_trees_built;
+
     // Surviving (parent position, count) pairs, ordered by descending
     // count with ties by ascending item id.
-    std::vector<std::pair<uint32_t, uint32_t>> kept;
+    kept_.clear();
     for (uint32_t pos = 0; pos < parent_size; ++pos) {
       if (base_counts_[pos] >= min_count_) {
-        kept.emplace_back(pos, base_counts_[pos]);
+        kept_.emplace_back(pos, base_counts_[pos]);
       }
     }
-    std::sort(kept.begin(), kept.end(),
+    if (kept_.empty()) return false;
+    std::sort(kept_.begin(), kept_.end(),
               [&parent](const auto& a, const auto& b) {
                 if (a.second != b.second) return a.second > b.second;
                 return parent.header[a.first].item <
                        parent.header[b.first].item;
               });
-    FpTree tree;
+    tree->header.clear();
     pos_map_.assign(parent_size, FpNode::kNull);
-    for (uint32_t pos = 0; pos < kept.size(); ++pos) {
-      tree.header.push_back(
-          {parent.header[kept[pos].first].item, kept[pos].second,
+    for (uint32_t pos = 0; pos < kept_.size(); ++pos) {
+      tree->header.push_back(
+          {parent.header[kept_[pos].first].item, kept_[pos].second,
            FpNode::kNull});
-      pos_map_[kept[pos].first] = pos;
+      pos_map_[kept_[pos].first] = pos;
     }
-    ++result_->conditional_trees_built;
-    if (tree.header.empty()) return tree;
-    std::vector<uint32_t> link_tails(tree.header.size(), FpNode::kNull);
-    std::vector<uint32_t> positions;
-    for (const auto& path : base) {
-      positions.clear();
-      for (uint32_t pos : path.positions) {
-        if (pos_map_[pos] != FpNode::kNull) {
-          positions.push_back(pos_map_[pos]);
+    // Remap each path in place (it can only shrink) and order it.
+    for (PathBuffer::Path& path : paths_.paths) {
+      uint32_t* first = paths_.positions.data() + path.begin;
+      uint32_t size = 0;
+      for (uint32_t i = 0; i < path.size; ++i) {
+        if (pos_map_[first[i]] != FpNode::kNull) {
+          first[size++] = pos_map_[first[i]];
         }
       }
-      std::sort(positions.begin(), positions.end());
-      tree.InsertPath(positions, path.count, &link_tails);
+      std::sort(first, first + size);
+      path.size = size;
     }
-    result_->fp_nodes_allocated += tree.nodes.size() - 1;
-    return tree;
+    tree->Build(&paths_);
+    result_->fp_nodes_allocated += tree->nodes.size() - 1;
+    return true;
   }
 
   uint32_t min_count_;
   size_t max_size_;
   bool single_path_opt_;
   MiningResult* result_;
-  // Flat per-parent-header scratch, reused across BuildConditionalTree
-  // calls (each call completes before its tree is recursed into).
+  // Scratch reused across BuildConditionalTree calls (each call completes
+  // before its tree is recursed into).
+  PathBuffer paths_;
   std::vector<uint32_t> base_counts_;
   std::vector<uint32_t> pos_map_;
+  std::vector<std::pair<uint32_t, uint32_t>> kept_;
+  std::deque<FpTree> conditionals_;
 };
 
 }  // namespace
@@ -305,11 +324,11 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
   mine_span.AttachCounter(nodes_counter);
 
   MiningResult result;
-  size_t num_frequent_items = 0;
-  FpTree root = [&] {
+  FpTree root;
+  {
     obs::Span build_span("assoc/fp_growth/build_tree");
-    return FpMiner::BuildRootTree(db, min_count, &num_frequent_items);
-  }();
+    FpMiner::BuildRootTree(db, min_count, &root);
+  }
   result.fp_nodes_allocated += root.nodes.size() - 1;
   if (!root.header.empty()) {
     obs::Span grow_span("assoc/fp_growth/grow");
@@ -318,7 +337,7 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
       // frequent itemset is a combination of the chain's items.
       FpMiner miner(min_count, params.max_itemset_size,
                     options.single_path_optimization, &result);
-      miner.EmitSinglePathCombinations(root, {});
+      miner.EmitSinglePathCombinations(root, {}, 0);
     } else {
       // Top-level projection decomposition: each header entry's
       // conditional tree is mined independently, in the serial bottom-up
@@ -331,7 +350,7 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
             FpMiner miner(min_count, params.max_itemset_size,
                           options.single_path_optimization, out);
             for (size_t i = begin; i < end; ++i) {
-              miner.MineEntry(root, n - 1 - i, {});
+              miner.MineEntry(root, n - 1 - i, {}, 0);
             }
           });
     }
@@ -348,7 +367,7 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
   for (const auto& itemset : result.itemsets) {
     max_size = std::max(max_size, itemset.items.size());
   }
-  result.passes.push_back({1, db.item_universe(), num_frequent_items});
+  result.passes.push_back({1, db.item_universe(), root.header.size()});
   for (size_t k = 2; k <= max_size; ++k) {
     size_t count = result.CountOfSize(k);
     result.passes.push_back({k, count, count});

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "assoc/candidate_gen.h"
-#include "core/check.h"
 #include "core/string_util.h"
 
 namespace dmt::assoc {
@@ -46,6 +45,40 @@ Itemset Difference(const Itemset& from, const Itemset& remove) {
   return out;
 }
 
+std::string FormatItems(const Itemset& items,
+                        const core::ItemDictionary* dictionary) {
+  std::string out = "{";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ", ";
+    if (dictionary != nullptr) {
+      out += dictionary->Name(items[i]);
+    } else {
+      out += std::to_string(items[i]);
+    }
+  }
+  out += "}";
+  return out;
+}
+
+/// Support of `subset` ⊂ `itemset`. A mining result loaded from a file or
+/// built by hand need not be downward closed, and confidence and lift
+/// divide by this support, so a missing or zero entry is an
+/// InvalidArgument naming both itemsets.
+Result<uint32_t> SubsetSupport(const FrequentItemset& itemset,
+                               const SupportIndex& supports,
+                               const Itemset& subset) {
+  auto it = supports.find(subset);
+  if (it == supports.end() || it->second == 0) {
+    return Status::InvalidArgument(core::StrFormat(
+        "itemset %s (support %u) has %s subset %s; rule generation needs a "
+        "downward-closed mining result",
+        FormatItems(itemset.items, nullptr).c_str(), itemset.support,
+        it == supports.end() ? "no entry for its" : "a zero-support",
+        FormatItems(subset, nullptr).c_str()));
+  }
+  return it->second;
+}
+
 /// The single rule-emission path shared by the seed layer and the grown
 /// layers, so measure definitions (confidence/lift/conviction/leverage)
 /// and the accept-lenient +1e-12 epsilon convention cannot drift between
@@ -53,27 +86,28 @@ Itemset Difference(const Itemset& from, const Itemset& remove) {
 /// (and therefore stays in the layer for apriori-style growth — the lift
 /// filter gates emission only, never pruning, because lift is not
 /// anti-monotone in the consequent).
-bool EmitRuleIfPassing(const FrequentItemset& itemset,
-                       const SupportIndex& supports,
-                       const RuleParams& params, double num_transactions,
-                       const Itemset& consequent,
-                       std::vector<AssociationRule>* rules) {
+Result<bool> EmitRuleIfPassing(const FrequentItemset& itemset,
+                               const SupportIndex& supports,
+                               const RuleParams& params,
+                               double num_transactions,
+                               const Itemset& consequent,
+                               std::vector<AssociationRule>* rules) {
   Itemset antecedent = Difference(itemset.items, consequent);
-  auto antecedent_it = supports.find(antecedent);
-  DMT_CHECK(antecedent_it != supports.end());
+  DMT_ASSIGN_OR_RETURN(const uint32_t antecedent_support,
+                       SubsetSupport(itemset, supports, antecedent));
   double confidence = static_cast<double>(itemset.support) /
-                      static_cast<double>(antecedent_it->second);
+                      static_cast<double>(antecedent_support);
   if (confidence + 1e-12 < params.min_confidence) return false;
-  auto consequent_it = supports.find(consequent);
-  DMT_CHECK(consequent_it != supports.end());
+  DMT_ASSIGN_OR_RETURN(const uint32_t consequent_support,
+                       SubsetSupport(itemset, supports, consequent));
   double consequent_fraction =
-      static_cast<double>(consequent_it->second) / num_transactions;
+      static_cast<double>(consequent_support) / num_transactions;
   double lift = confidence / consequent_fraction;
   if (lift + 1e-12 >= params.min_lift) {
     double rule_support =
         static_cast<double>(itemset.support) / num_transactions;
     double antecedent_fraction =
-        static_cast<double>(antecedent_it->second) / num_transactions;
+        static_cast<double>(antecedent_support) / num_transactions;
     rules->push_back({std::move(antecedent), consequent, itemset.support,
                       rule_support, confidence, lift,
                       Conviction(consequent_fraction, confidence),
@@ -85,24 +119,25 @@ bool EmitRuleIfPassing(const FrequentItemset& itemset,
 
 /// ap-genrules: given the itemset and a layer of m-item consequents that
 /// already passed the confidence bar, grow (m+1)-item consequents.
-void GrowConsequents(const FrequentItemset& itemset,
-                     const SupportIndex& supports, const RuleParams& params,
-                     double num_transactions,
-                     std::vector<Itemset> consequent_layer,
-                     std::vector<AssociationRule>* rules) {
+Status GrowConsequents(const FrequentItemset& itemset,
+                       const SupportIndex& supports, const RuleParams& params,
+                       double num_transactions,
+                       std::vector<Itemset> consequent_layer,
+                       std::vector<AssociationRule>* rules) {
   while (!consequent_layer.empty() &&
          consequent_layer[0].size() + 1 < itemset.items.size()) {
     CandidateGenResult gen = GenerateCandidates(consequent_layer);
     std::vector<Itemset> next_layer;
     for (auto& consequent : gen.candidates) {
-      if (!EmitRuleIfPassing(itemset, supports, params, num_transactions,
-                             consequent, rules)) {
-        continue;
-      }
-      next_layer.push_back(std::move(consequent));
+      DMT_ASSIGN_OR_RETURN(
+          const bool passed,
+          EmitRuleIfPassing(itemset, supports, params, num_transactions,
+                            consequent, rules));
+      if (passed) next_layer.push_back(std::move(consequent));
     }
     consequent_layer = std::move(next_layer);
   }
+  return Status::OK();
 }
 
 }  // namespace
@@ -130,14 +165,13 @@ Result<std::vector<AssociationRule>> GenerateRules(
     std::vector<Itemset> seed_layer;
     for (core::ItemId item : itemset.items) {
       Itemset consequent{item};
-      if (!EmitRuleIfPassing(itemset, supports, params, n, consequent,
-                             &rules)) {
-        continue;
-      }
-      seed_layer.push_back(std::move(consequent));
+      DMT_ASSIGN_OR_RETURN(const bool passed,
+                           EmitRuleIfPassing(itemset, supports, params, n,
+                                             consequent, &rules));
+      if (passed) seed_layer.push_back(std::move(consequent));
     }
-    GrowConsequents(itemset, supports, params, n, std::move(seed_layer),
-                    &rules);
+    DMT_RETURN_NOT_OK(GrowConsequents(itemset, supports, params, n,
+                                      std::move(seed_layer), &rules));
   }
 
   std::sort(rules.begin(), rules.end(),
@@ -156,19 +190,6 @@ Result<std::vector<AssociationRule>> GenerateRules(
 
 std::string FormatRule(const AssociationRule& rule,
                        const core::ItemDictionary* dictionary) {
-  auto format_side = [&](const Itemset& items) {
-    std::string out = "{";
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) out += ", ";
-      if (dictionary != nullptr) {
-        out += dictionary->Name(items[i]);
-      } else {
-        out += std::to_string(items[i]);
-      }
-    }
-    out += "}";
-    return out;
-  };
   // Conviction is serialized and round-tripped through DMTBIN01
   // containers like the other measures, so the human-readable form prints
   // it (and leverage) too; the 1e12 cap marks an exact rule, rendered as
@@ -178,9 +199,9 @@ std::string FormatRule(const AssociationRule& rule,
                                : core::StrFormat("%.2f", rule.conviction);
   return core::StrFormat(
       "%s => %s (supp=%.4f, conf=%.3f, lift=%.2f, conv=%s, lev=%.4f)",
-      format_side(rule.antecedent).c_str(),
-      format_side(rule.consequent).c_str(), rule.support, rule.confidence,
-      rule.lift, conviction.c_str(), rule.leverage);
+      FormatItems(rule.antecedent, dictionary).c_str(),
+      FormatItems(rule.consequent, dictionary).c_str(), rule.support,
+      rule.confidence, rule.lift, conviction.c_str(), rule.leverage);
 }
 
 }  // namespace dmt::assoc

@@ -53,7 +53,10 @@ struct RuleParams {
 /// Generates all rules meeting the thresholds from a mining result.
 /// `num_transactions` is |D| of the mined database (for support/lift).
 /// Rules come out sorted by descending confidence, then descending lift,
-/// then canonically by antecedent/consequent.
+/// then canonically by antecedent/consequent. `mining` must be downward
+/// closed: a rule whose antecedent or consequent has no entry, or a zero
+/// support, in `mining` makes the call return InvalidArgument naming the
+/// itemset and the subset (a hand-built or loaded result may lack them).
 core::Result<std::vector<AssociationRule>> GenerateRules(
     const MiningResult& mining, size_t num_transactions,
     const RuleParams& params);

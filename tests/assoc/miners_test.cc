@@ -412,15 +412,93 @@ TEST(MinerPropertiesTest, FpGrowthAppliesSinglePathFastPathAtRoot) {
   EXPECT_EQ(capped->itemsets.size(), 10u);  // C(4,1) + C(4,2)
 }
 
+TEST(MinerPropertiesTest, FpGrowthTreeDoesNotDependOnRowOrder) {
+  // Rows that share, repeat or end early on a path, and rows that vanish
+  // after the frequency filter: however they are ordered, the trees are
+  // the same set of path prefixes, so results and work counts must be too.
+  std::vector<std::vector<ItemId>> rows;
+  for (int repeat = 0; repeat < 3; ++repeat) rows.push_back({0, 1, 2, 3});
+  // Prefixes of {0, 1, 2, 3} in the tree's item order (1, 3, 5, 0, 2, 4
+  // by descending support).
+  rows.push_back({1});
+  rows.push_back({1, 3});
+  rows.push_back({0, 1, 3});
+  rows.push_back({8});  // no frequent item
+  rows.push_back({9});
+  rows.push_back({8, 9});
+  for (int repeat = 0; repeat < 6; ++repeat) rows.push_back({1, 3, 5});
+  rows.push_back({0, 2, 4});
+  rows.push_back({1, 2, 4, 5});
+  rows.push_back({0, 3, 5, 10});
+  rows.push_back({2, 3, 4});
+  rows.push_back({0, 1, 4, 5});
+  auto database = [](const std::vector<std::vector<ItemId>>& in_order) {
+    TransactionDatabase db;
+    for (const auto& row : in_order) db.Add(row);
+    return db;
+  };
+  std::vector<std::vector<ItemId>> reversed(rows.rbegin(), rows.rend());
+  std::vector<std::vector<ItemId>> shuffled = rows;
+  core::Rng rng(41);
+  rng.Shuffle(shuffled);
+  const std::pair<const char*, const std::vector<std::vector<ItemId>>*>
+      orders[] = {{"original", &rows},
+                  {"reversed", &reversed},
+                  {"shuffled", &shuffled}};
+  MiningParams params;
+  params.min_support = 0.15;  // 3 of 20 rows: items 8, 9 and 10 fall out
+  const auto expected = BruteForceMine(database(rows), params.min_support);
+  ASSERT_FALSE(expected.empty());
+  for (const auto& itemset : expected) EXPECT_LT(itemset.items.back(), 8u);
+  for (bool single_path : {true, false}) {
+    FpGrowthOptions options;
+    options.single_path_optimization = single_path;
+    params.num_threads = 1;
+    auto reference = MineFpGrowth(database(rows), params, options);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(reference->itemsets, expected);
+    EXPECT_GT(reference->conditional_trees_built, 0u);
+    for (size_t threads : {1u, 4u}) {
+      params.num_threads = threads;
+      for (const auto& [name, order] : orders) {
+        auto result = MineFpGrowth(database(*order), params, options);
+        ASSERT_TRUE(result.ok());
+        const std::string where = std::string(name) + " rows, single_path=" +
+                                  std::to_string(single_path) +
+                                  ", threads=" + std::to_string(threads);
+        EXPECT_EQ(result->itemsets, expected) << where;
+        EXPECT_EQ(result->conditional_trees_built,
+                  reference->conditional_trees_built)
+            << where;
+        EXPECT_EQ(result->fp_nodes_allocated, reference->fp_nodes_allocated)
+            << where;
+      }
+    }
+  }
+}
+
 TEST(MinerPropertiesTest, PatternGrowthWorkCountersAreConsistent) {
   TransactionDatabase db = RandomDatabase(31, 200, 15, 0.3);
   MiningParams params;
   params.min_support = 0.05;
   auto fp = MineFpGrowth(db, params);
   ASSERT_TRUE(fp.ok());
-  EXPECT_GT(fp->conditional_trees_built, 0u);
-  EXPECT_GT(fp->fp_nodes_allocated, 0u);
+  // FP-growth's counts are fixed by the data: a tree's nodes are its
+  // distinct path prefixes, so no change of tree layout or build order may
+  // move them.
+  EXPECT_EQ(fp->itemsets.size(), 132u);
+  EXPECT_EQ(fp->conditional_trees_built, 105u);
+  EXPECT_EQ(fp->fp_nodes_allocated, 1330u);
   EXPECT_EQ(fp->tidset_intersections, 0u);
+  auto quest = gen::GenerateQuestTransactions(gen::QuestParams{}, 1996);
+  ASSERT_TRUE(quest.ok());  // T10.I4.D10K over 1,000 items, 2,000 patterns
+  MiningParams quest_params;
+  quest_params.min_support = 0.005;
+  auto quest_fp = MineFpGrowth(*quest, quest_params);
+  ASSERT_TRUE(quest_fp.ok());
+  EXPECT_EQ(quest_fp->itemsets.size(), 1835u);
+  EXPECT_EQ(quest_fp->conditional_trees_built, 1264u);
+  EXPECT_EQ(quest_fp->fp_nodes_allocated, 77217u);
   auto eclat = MineEclat(db, params);
   ASSERT_TRUE(eclat.ok());
   EXPECT_GT(eclat->tidset_intersections, 0u);

@@ -193,6 +193,48 @@ TEST(RulesTest, ValidateRejectsNaNThresholds) {
   EXPECT_FALSE(GenerateRules(mining, 10, params).ok());
 }
 
+TEST(RulesTest, RejectsResultsThatAreNotDownwardClosed) {
+  // A hand-built (or loaded) result need not hold every subset of every
+  // itemset. Each missing or zero-support subset must come back as
+  // InvalidArgument naming the itemset and the subset, never abort.
+  RuleParams params;
+  auto expect_rejected = [&](const MiningResult& mining,
+                             const std::string& itemset,
+                             const std::string& subset) {
+    auto rules = GenerateRules(mining, 20, params);
+    ASSERT_FALSE(rules.ok()) << itemset;
+    EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+    const std::string& message = rules.status().message();
+    EXPECT_NE(message.find("itemset " + itemset), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("subset " + subset), std::string::npos)
+        << message;
+  };
+  // No subsets at all: the first antecedent looked up is missing.
+  MiningResult lone;
+  lone.itemsets = {{{0, 1}, 5}};
+  expect_rejected(lone, "{0, 1}", "{1}");
+  // The antecedent is present and passes confidence; the consequent is
+  // missing.
+  MiningResult no_consequent;
+  no_consequent.itemsets = {{{1}, 5}, {{0, 1}, 5}};
+  expect_rejected(no_consequent, "{0, 1}", "{0}");
+  // Zero support would divide by zero in confidence and lift.
+  MiningResult zero;
+  zero.itemsets = {{{0}, 0}, {{1}, 0}, {{0, 1}, 5}};
+  expect_rejected(zero, "{0, 1}", "{1}");
+  EXPECT_NE(GenerateRules(zero, 20, params).status().message().find(
+                "zero-support"),
+            std::string::npos);
+  // The gap is met only in the grown layer: consequent {2} fails the
+  // confidence bar (4/10), so {0}, {1} grow into {0, 1}, whose antecedent
+  // {2} is missing.
+  MiningResult grown;
+  grown.itemsets = {{{0, 1, 2}, 4}, {{0}, 10}, {{1}, 10},
+                    {{0, 1}, 10}, {{0, 2}, 4}, {{1, 2}, 4}};
+  expect_rejected(grown, "{0, 1, 2}", "{2}");
+}
+
 TEST(RulesTest, RuleExactlyAtConfidenceAndLiftThresholdIncluded) {
   // conf({1} => {2}) = 3/4 exactly; supp({2}) = 3/4, so lift = 1 exactly.
   // Both land on the threshold and must pass the accept-lenient epsilon

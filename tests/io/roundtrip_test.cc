@@ -198,6 +198,23 @@ TEST(MiningResultRoundtripTest, LoadedResultIsIdentical) {
   EXPECT_EQ(loaded->bytes_mapped, result->bytes_mapped);
 }
 
+TEST(MiningResultRoundtripTest, RulesFromALoadedPartialResultFailCleanly) {
+  // The container stores any itemset list; nothing on the load path
+  // requires it to be downward closed. GenerateRules on such a result
+  // must return InvalidArgument, not abort.
+  assoc::MiningResult partial;
+  partial.itemsets = {{{0, 1}, 5}};
+  const std::string path = TempPath("mining_partial.dmtb");
+  ASSERT_TRUE(WriteMiningResult(partial, path).ok());
+  auto loaded = LoadMiningResult(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto rules = assoc::GenerateRules(*loaded, 10, assoc::RuleParams{});
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(rules.status().message().find("{0, 1}"), std::string::npos)
+      << rules.status().message();
+}
+
 TEST(RuleSetRoundtripTest, LoadedRulesAreIdentical) {
   const auto db = QuestWorkload(41);
   assoc::MiningParams params;

@@ -6,7 +6,8 @@
 # differential tests for every parallelized miner (plus the out-of-core
 # differential and container-corruption tests, and the concurrent-runs
 # test), then an AddressSanitizer + UndefinedBehaviorSanitizer build that
-# re-runs the io corruption battery, then a bench smoke
+# re-runs the io corruption battery and the association miner and rule
+# tests, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -114,6 +115,10 @@ ASAN_TARGETS=(
   obs_histogram_test
   obs_expose_test
   integration_concurrent_runs_test
+  assoc_miners_test
+  assoc_parallel_diff_test
+  assoc_out_of_core_diff_test
+  assoc_rules_test
 )
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TARGETS[@]}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
@@ -135,6 +140,12 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-asan/tests/obs/obs_histogram_test"
 "$ROOT/build-asan/tests/obs/obs_expose_test"
 "$ROOT/build-asan/tests/integration/integration_concurrent_runs_test"
+# FP-tree arenas index nodes, paths and header positions by hand, and rule
+# generation reports a result that is not downward closed as an error.
+"$ROOT/build-asan/tests/assoc/assoc_miners_test"
+"$ROOT/build-asan/tests/assoc/assoc_parallel_diff_test"
+"$ROOT/build-asan/tests/assoc/assoc_out_of_core_diff_test"
+"$ROOT/build-asan/tests/assoc/assoc_rules_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
