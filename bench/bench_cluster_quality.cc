@@ -46,9 +46,8 @@ void PrintQualityTable() {
                 static_cast<unsigned long long>(dist_comps));
   };
 
-  // Assignment-engine ablation: all three rows must report the same SSE
-  // and ARI (the pruned engines are exact); only time and dist_comps
-  // move.
+  // Assignment-engine ablation: both rows must report the same SSE and
+  // ARI (the pruned engine is exact); only time and dist_comps move.
   {
     using Assignment = dmt::cluster::KMeansOptions::Assignment;
     constexpr struct {
@@ -57,7 +56,6 @@ void PrintQualityTable() {
     } kEngines[] = {
         {"kmeans++", Assignment::kLloyd},
         {"kmeans++_hamerly", Assignment::kHamerly},
-        {"kmeans++_elkan", Assignment::kElkan},
     };
     for (const auto& engine : kEngines) {
       dmt::cluster::KMeansOptions options;

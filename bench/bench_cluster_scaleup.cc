@@ -5,10 +5,10 @@
 // into bounded CF summaries, then clustering the summaries); direct
 // k-means grows linearly with a much larger constant (k distance
 // computations per point per Lloyd iteration), so the gap widens with n.
-// The assignment column ablates that constant: the Hamerly/Elkan engines
-// return bit-identical clusterings while pruning most of the k distances
-// per point (dist_comps counter), so pruned k-means scales with cluster
-// count instead of n*k.
+// The assignment column ablates that constant: the Hamerly engine returns
+// bit-identical clusterings while pruning most of the k distances per
+// point (dist_comps counter), so pruned k-means scales with cluster count
+// instead of n*k.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -24,11 +24,7 @@ constexpr size_t kClusters = 100;
 
 dmt::cluster::KMeansOptions::Assignment AssignmentFromArg(int64_t arg) {
   using Assignment = dmt::cluster::KMeansOptions::Assignment;
-  switch (arg) {
-    case 1: return Assignment::kHamerly;
-    case 2: return Assignment::kElkan;
-    default: return Assignment::kLloyd;
-  }
+  return arg == 1 ? Assignment::kHamerly : Assignment::kLloyd;
 }
 
 void RunKMeans(benchmark::State& state, size_t clusters,
@@ -57,7 +53,7 @@ void RunKMeans(benchmark::State& state, size_t clusters,
 }
 
 // args: points per cluster (total = 100 * arg), worker threads,
-// assignment engine (0 = Lloyd, 1 = Hamerly, 2 = Elkan).
+// assignment engine (0 = Lloyd, 1 = Hamerly).
 void BM_KMeans(benchmark::State& state) {
   RunKMeans(state, kClusters, static_cast<size_t>(state.range(0)));
 }
@@ -137,14 +133,12 @@ void KMeansSizes(benchmark::internal::Benchmark* bench) {
   for (int64_t threads : {2, 4}) {
     bench->Args({2000, threads, 0});
   }
-  for (int64_t assignment : {1, 2}) {
-    bench->Args({2000, 0, assignment});
-  }
+  bench->Args({2000, 0, 1});
   bench->Unit(benchmark::kMillisecond)->Iterations(1);
 }
 
 void PruningSweep(benchmark::internal::Benchmark* bench) {
-  for (int64_t assignment : {0, 1, 2}) {
+  for (int64_t assignment : {0, 1}) {
     bench->Args({0, assignment});
   }
   // Pruning composes with threading: the bound arrays are chunked

@@ -94,9 +94,8 @@ void PrintSeries() {
               *best_alpha, tree.NumLeaves(), AccuracyOf(tree));
 }
 
-/// Growth benchmarks on the same noisy fixture (noise deepens the trees,
-/// which is exactly where the split-search engine matters): presorted vs
-/// naive, with Arg = worker threads for the presorted rows.
+/// Growth benchmark on the same noisy fixture (noise deepens the trees),
+/// with Arg = worker threads for the presorted split search.
 void BM_GrowC45Presorted(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
   dmt::tree::TreeOptions options;
@@ -108,21 +107,6 @@ void BM_GrowC45Presorted(benchmark::State& state) {
     benchmark::DoNotOptimize(tree);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["split_scan_rows"] =
-      static_cast<double>(stats.split_scan_rows);
-}
-
-void BM_GrowC45Naive(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  dmt::tree::TreeOptions options;
-  options.split_search = dmt::tree::SplitSearch::kNaive;
-  dmt::tree::TreeBuildStats stats;
-  for (auto _ : state) {
-    auto tree = dmt::tree::BuildTree(fixture.train, options, &stats);
-    DMT_CHECK(tree.ok());
-    benchmark::DoNotOptimize(tree);
-  }
-  state.counters["threads"] = 0;
   state.counters["split_scan_rows"] =
       static_cast<double>(stats.split_scan_rows);
 }
@@ -150,7 +134,6 @@ BENCHMARK(BM_GrowC45Presorted)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GrowC45Naive)->Arg(0)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PessimisticPrune)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CostComplexityPrune)->Unit(benchmark::kMillisecond);
 

@@ -1,20 +1,15 @@
 // FIG-C2 (TKDE'93 scale-up): tree-induction time vs training-set size
-// (1K to 100K records of Agrawal F2), plus the EXT-5 split-search
-// ablation: naive re-sorting vs presorted attribute indices vs the
-// threaded presorted search.
+// (1K to 100K records of Agrawal F2) for the presorted greedy builder
+// (C4.5 and CART presets) and SLIQ, plus the threaded split search.
 //
-// Expected shape: the naive engine re-sorts every numeric attribute at
-// every node — O(depth * attrs * n log n) — while the presorted engine
-// sorts once and partitions, so their gap widens with n and tree depth.
-// SLIQ (EDBT'96) applies the same presorting breadth-first with a class
-// list. Thread rows measure the deterministic chunk-parallel split search
-// (bit-identical trees at any thread count); on a single-core host they
-// record dispatch overhead, not speedup (EXT-3 caveat).
+// Expected shape: the greedy builder sorts every numeric attribute once
+// and partitions the sorted orders down the tree, so each level costs a
+// linear sweep; SLIQ (EDBT'96) applies the same presorting breadth-first
+// with a class list. Thread rows measure the deterministic chunk-parallel
+// split search (bit-identical trees at any thread count).
 //
 // Each case reports `split_scan_rows` — (row, attribute) visits during
-// candidate-split evaluation — which is invariant across engines and
-// thread counts: the engines do the same statistical work, only cheaper
-// per visit.
+// candidate-split evaluation — which is invariant across thread counts.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -49,24 +44,10 @@ void BM_C45(benchmark::State& state) {
   RunGreedy(state, options);
 }
 
-void BM_C45Naive(benchmark::State& state) {
-  dmt::tree::TreeOptions options;
-  options.split_search = dmt::tree::SplitSearch::kNaive;
-  RunGreedy(state, options);
-}
-
 void BM_Cart(benchmark::State& state) {
   dmt::tree::TreeOptions options;
   options.criterion = dmt::tree::SplitCriterion::kGini;
   options.categorical_style = dmt::tree::CategoricalSplitStyle::kBinary;
-  RunGreedy(state, options);
-}
-
-void BM_CartNaive(benchmark::State& state) {
-  dmt::tree::TreeOptions options;
-  options.criterion = dmt::tree::SplitCriterion::kGini;
-  options.categorical_style = dmt::tree::CategoricalSplitStyle::kBinary;
-  options.split_search = dmt::tree::SplitSearch::kNaive;
   RunGreedy(state, options);
 }
 
@@ -104,14 +85,6 @@ void Threads(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_C45)->Apply(Sizes)->Apply(Threads);
 BENCHMARK(BM_Cart)->Apply(Sizes)->Apply(Threads);
 BENCHMARK(BM_Sliq)->Apply(Sizes)->Apply(Threads);
-// Ablation baselines: the naive engines only need the endpoints of the
-// sweep to expose the widening gap.
-void AblationSizes(benchmark::internal::Benchmark* bench) {
-  for (int64_t n : {1000, 10000, 100000}) bench->Args({n, 0});
-  bench->Unit(benchmark::kMillisecond)->Iterations(1);
-}
-BENCHMARK(BM_C45Naive)->Apply(AblationSizes);
-BENCHMARK(BM_CartNaive)->Apply(AblationSizes);
 
 }  // namespace
 

@@ -303,7 +303,7 @@ Result<BirchResult> Birch(const PointSet& points,
   }
   KMeansOptions kmeans;
   kmeans.k = std::min(options.global_clusters, centroids.size());
-  kmeans.assignment = options.global_assignment;
+  kmeans.assignment = KMeansOptions::Assignment::kHamerly;
   kmeans.seed = options.seed;
   ClusteringResult global;
   {

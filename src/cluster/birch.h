@@ -27,12 +27,8 @@ struct BirchOptions {
   /// leaf entries exceeds this cap — BIRCH's memory bound.
   size_t max_leaf_entries_total = 1024;
   /// Number of clusters produced by the global phase (weighted k-means over
-  /// leaf-entry centroids).
+  /// leaf-entry centroids, assigned by the Hamerly engine).
   size_t global_clusters = 8;
-  /// Assignment engine for the global-phase k-means. Exact (bit-identical
-  /// clustering for any choice), so the pruned default only affects speed.
-  KMeansOptions::Assignment global_assignment =
-      KMeansOptions::Assignment::kHamerly;
   uint64_t seed = 1;
 
   core::Status Validate() const;

@@ -102,14 +102,14 @@ PointSet SeedCenters(const PointSet& points,
   return centers;
 }
 
-/// Nearest-center assignment with three interchangeable engines. All
-/// three follow Lloyd's tie-breaking (strict `<`, lowest center index
-/// wins) and produce bit-identical assignments and per-point squared
-/// distances; the pruned engines merely skip distance evaluations the
-/// triangle inequality proves irrelevant. Every point computes the exact
-/// distance to its assigned center each iteration, so the SSE reduction
-/// (done by the caller in index order) matches Lloyd to the last bit and
-/// the convergence test takes identical branches.
+/// Nearest-center assignment with two interchangeable engines. Both
+/// follow Lloyd's tie-breaking (strict `<`, lowest center index wins) and
+/// produce bit-identical assignments and per-point squared distances;
+/// Hamerly merely skips distance evaluations the triangle inequality
+/// proves irrelevant. Every point computes the exact distance to its
+/// assigned center each iteration, so the SSE reduction (done by the
+/// caller in index order) matches Lloyd to the last bit and the
+/// convergence test takes identical branches.
 class AssignmentEngine {
  public:
   AssignmentEngine(const PointSet& points, const KMeansOptions& options,
@@ -122,14 +122,9 @@ class AssignmentEngine {
         k_(options.k),
         dist_sq_(points.size(), 0.0),
         chunk_comps_(ctx.NumChunks(points.size()), 0) {
-    if (options_.assignment != Assignment::kLloyd) {
+    if (options_.assignment == Assignment::kHamerly) {
       half_nearest_.assign(k_, 0.0);
-      if (options_.assignment == Assignment::kHamerly) {
-        lower_.assign(n_, 0.0);
-      } else {
-        center_dist_.assign(k_ * k_, 0.0);
-        lower_per_center_.assign(n_ * k_, 0.0);
-      }
+      lower_.assign(n_, 0.0);
     }
   }
 
@@ -137,12 +132,9 @@ class AssignmentEngine {
   /// exact squared distance into dist_sq().
   void Assign(const PointSet& centers, std::vector<uint32_t>* assignments) {
     // Stage the centers dimension-major for the batched distance kernel
-    // (every engine except steady-state Elkan scans whole center blocks;
-    // Elkan's per-center pruned probes stay pairwise). The transpose is
-    // O(k * dim) against an O(n) assignment pass.
-    if (options_.assignment != Assignment::kElkan || !initialized_) {
-      centers_soa_.Assign(centers.data().data(), k_, dim_);
-    }
+    // that every full scan runs. The transpose is O(k * dim) against an
+    // O(n) assignment pass.
+    centers_soa_.Assign(centers.data().data(), k_, dim_);
     if (options_.assignment == Assignment::kLloyd) {
       AssignLloyd(centers, assignments);
       return;
@@ -151,12 +143,8 @@ class AssignmentEngine {
       InitScan(centers, assignments);
       initialized_ = true;
     } else {
-      ComputeCenterGeometry(centers);
-      if (options_.assignment == Assignment::kHamerly) {
-        AssignHamerly(centers, assignments);
-      } else {
-        AssignElkan(centers, assignments);
-      }
+      ComputeHalfNearest(centers);
+      AssignHamerly(centers, assignments);
     }
     // Fold the chunk-owned tallies after the barrier; integer sums, so
     // the total does not depend on the chunking.
@@ -173,7 +161,6 @@ class AssignmentEngine {
   void ApplyMovement(const PointSet& before, const PointSet& after,
                      const std::vector<uint32_t>& assignments) {
     if (options_.assignment == Assignment::kLloyd || !initialized_) return;
-    std::vector<double> delta(k_);
     double max1 = 0.0, max2 = 0.0;
     uint32_t argmax = 0;
     for (uint32_t c = 0; c < k_; ++c) {
@@ -181,7 +168,6 @@ class AssignmentEngine {
       // maintained bound claim more than the true distance.
       double m = core::EuclideanDistance(before.point(c), after.point(c)) *
                  kBoundSlack;
-      delta[c] = m;
       if (m > max1) {
         max2 = max1;
         max1 = m;
@@ -191,23 +177,14 @@ class AssignmentEngine {
       }
     }
     comps_ += k_;
-    if (options_.assignment == Assignment::kHamerly) {
-      // lower_[i] bounds the distance to every center except the
-      // assigned one, so the assigned center's movement never applies;
-      // when it happens to be the biggest mover, the runner-up does.
-      ctx_.ForEachChunk(n_, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          lower_[i] -= assignments[i] == argmax ? max2 : max1;
-        }
-      });
-    } else {
-      ctx_.ForEachChunk(n_, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          double* lb = lower_per_center_.data() + i * k_;
-          for (uint32_t c = 0; c < k_; ++c) lb[c] -= delta[c];
-        }
-      });
-    }
+    // lower_[i] bounds the distance to every center except the assigned
+    // one, so the assigned center's movement never applies; when it
+    // happens to be the biggest mover, the runner-up does.
+    ctx_.ForEachChunk(n_, [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        lower_[i] -= assignments[i] == argmax ? max2 : max1;
+      }
+    });
   }
 
   /// Exact squared distance of each point to its assigned center, as of
@@ -248,12 +225,10 @@ class AssignmentEngine {
     comps_ += static_cast<uint64_t>(n_) * k_;
   }
 
-  /// First pruned-engine pass: a full Lloyd scan that also captures the
-  /// second-closest distance (Hamerly's initial lower bound) or every
-  /// center's distance (Elkan's initial per-center bounds).
+  /// First Hamerly pass: a full Lloyd scan that also captures the
+  /// second-closest distance as the initial lower bound.
   void InitScan(const PointSet& /*centers*/,
                 std::vector<uint32_t>* assignments) {
-    const bool elkan = options_.assignment == Assignment::kElkan;
     ctx_.ForEachChunk(n_, [&](size_t chunk, size_t begin, size_t end) {
       uint64_t comps = 0;
       std::vector<double> dist(k_);
@@ -264,7 +239,6 @@ class AssignmentEngine {
         uint32_t best = 0;
         for (uint32_t c = 0; c < k_; ++c) {
           double d2 = dist[c];
-          if (elkan) lower_per_center_[i * k_ + c] = std::sqrt(d2);
           if (d2 < best_d2) {
             second_d2 = best_d2;
             best_d2 = d2;
@@ -275,7 +249,7 @@ class AssignmentEngine {
         }
         (*assignments)[i] = best;
         dist_sq_[i] = best_d2;
-        if (!elkan) lower_[i] = std::sqrt(second_d2);
+        lower_[i] = std::sqrt(second_d2);
       }
       chunk_comps_[chunk] += comps;
     });
@@ -328,64 +302,13 @@ class AssignmentEngine {
     });
   }
 
-  void AssignElkan(const PointSet& centers,
-                   std::vector<uint32_t>* assignments) {
-    ctx_.ForEachChunk(n_, [&](size_t chunk, size_t begin, size_t end) {
-      uint64_t comps = 0;
-      for (size_t i = begin; i < end; ++i) {
-        auto p = points_.point(i);
-        uint32_t a = (*assignments)[i];
-        double* lb = lower_per_center_.data() + i * k_;
-        double d2 = core::SquaredEuclideanDistance(p, centers.point(a));
-        ++comps;
-        double d = std::sqrt(d2);
-        lb[a] = d;
-        dist_sq_[i] = d2;
-        if (d * kBoundSlack < half_nearest_[a]) continue;
-        // Per-center pruned scan. The incumbent distance is always
-        // exact, so a skipped center is provably *strictly* farther and
-        // an evaluated one is compared exactly like Lloyd's scan, with
-        // (distance, index) lexicographic order breaking ties toward the
-        // lowest index.
-        double best_d2 = d2, best_d = d;
-        uint32_t best = a;
-        for (uint32_t c = 0; c < k_; ++c) {
-          if (c == a) continue;
-          if (best_d * kBoundSlack < lb[c]) continue;
-          if (best_d * kBoundSlack < 0.5 * center_dist_[best * k_ + c]) {
-            continue;
-          }
-          double dd2 = core::SquaredEuclideanDistance(p, centers.point(c));
-          ++comps;
-          double dd = std::sqrt(dd2);
-          lb[c] = dd;
-          if (dd2 < best_d2 || (dd2 == best_d2 && c < best)) {
-            best_d2 = dd2;
-            best_d = dd;
-            best = c;
-          }
-        }
-        (*assignments)[i] = best;
-        dist_sq_[i] = best_d2;
-      }
-      chunk_comps_[chunk] += comps;
-    });
-  }
-
-  /// Half the distance from every center to its nearest other center
-  /// (both pruned engines), plus the full inter-center matrix (Elkan).
-  void ComputeCenterGeometry(const PointSet& centers) {
-    const bool elkan = options_.assignment == Assignment::kElkan;
+  /// Half the distance from every center to its nearest other center.
+  void ComputeHalfNearest(const PointSet& centers) {
     std::fill(half_nearest_.begin(), half_nearest_.end(), kInf);
     for (uint32_t a = 0; a + 1 < k_; ++a) {
       for (uint32_t b = a + 1; b < k_; ++b) {
-        double d = core::EuclideanDistance(centers.point(a),
-                                           centers.point(b));
-        if (elkan) {
-          center_dist_[a * k_ + b] = d;
-          center_dist_[b * k_ + a] = d;
-        }
-        double half = 0.5 * d;
+        double half = 0.5 * core::EuclideanDistance(centers.point(a),
+                                                    centers.point(b));
         if (half < half_nearest_[a]) half_nearest_[a] = half;
         if (half < half_nearest_[b]) half_nearest_[b] = half;
       }
@@ -401,17 +324,13 @@ class AssignmentEngine {
   const uint32_t k_;
   bool initialized_ = false;
   /// Centers staged dimension-major for the batched distance kernel,
-  /// refreshed by Assign() whenever a whole-block scan may run.
+  /// refreshed by every Assign() call.
   core::kernels::SoaBlock centers_soa_;
   std::vector<double> dist_sq_;
   /// Hamerly: per-point lower bound on the distance to every non-assigned
   /// center.
   std::vector<double> lower_;
-  /// Elkan: per-point, per-center lower bounds (n * k).
-  std::vector<double> lower_per_center_;
-  /// Elkan: inter-center distances (k * k).
-  std::vector<double> center_dist_;
-  /// Both pruned engines: 0.5 * distance to the nearest other center.
+  /// Hamerly: 0.5 * distance to the nearest other center.
   std::vector<double> half_nearest_;
   /// Distance evaluations: orchestrating-thread work adds to comps_
   /// directly; chunk bodies add to their own slot, folded into comps_

@@ -1,6 +1,6 @@
 // Lloyd's k-means with Forgy / k-means++ seeding, empty-cluster repair,
-// and triangle-inequality pruned assignment (Hamerly 2010 / Elkan 2003)
-// that is bit-identical to the plain Lloyd scan.
+// and triangle-inequality pruned assignment (Hamerly 2010) that is
+// bit-identical to the plain Lloyd scan.
 #ifndef DMT_CLUSTER_KMEANS_H_
 #define DMT_CLUSTER_KMEANS_H_
 
@@ -22,10 +22,10 @@ enum class KMeansInit {
 
 /// k-means hyper-parameters.
 struct KMeansOptions {
-  /// Assignment-step engine. All three produce bit-identical
-  /// assignments, SSE, iteration counts, and centers for the same options
-  /// (see DESIGN.md "Bound-pruned k-means assignment"); they differ only
-  /// in how many point-center distances they evaluate.
+  /// Assignment-step engine. Both produce bit-identical assignments,
+  /// SSE, iteration counts, and centers for the same options (see
+  /// DESIGN.md "Bound-pruned k-means assignment"); they differ only in
+  /// how many point-center distances they evaluate.
   enum class Assignment {
     /// Plain Lloyd scan: k distances per point per iteration.
     kLloyd,
@@ -33,10 +33,6 @@ struct KMeansOptions {
     /// center (Hamerly 2010): one exact distance per point per iteration
     /// plus full rescans only where the bound fails. O(n) extra memory.
     kHamerly,
-    /// Per-center lower bounds plus the inter-center distance matrix
-    /// (Elkan 2003): prunes individual centers inside the rescan.
-    /// O(n*k) extra memory; best at large k.
-    kElkan,
   };
 
   size_t k = 8;
@@ -67,7 +63,7 @@ struct ClusteringResult {
   /// Lloyd iterations executed.
   size_t iterations = 0;
   /// Point-center and center-center distance evaluations performed,
-  /// including seeding. The pruned assignment engines exist to shrink
+  /// including seeding. The pruned assignment engine exists to shrink
   /// this; benches report it as the pruning rate.
   uint64_t distance_computations = 0;
 };
@@ -78,7 +74,7 @@ core::Result<ClusteringResult> KMeans(const core::PointSet& points,
 
 /// Weighted variant (per-point multiplicities); used by BIRCH's global
 /// phase over CF-entry centroids. Weights scale only the SSE reduction
-/// and the center update, so the pruned assignment engines apply
+/// and the center update, so the pruned assignment engine applies
 /// unchanged.
 core::Result<ClusteringResult> WeightedKMeans(
     const core::PointSet& points, const std::vector<double>& weights,

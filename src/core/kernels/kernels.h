@@ -1,5 +1,5 @@
 // Runtime-dispatched hot-loop kernels: one scalar implementation (the
-// permanent differential baseline, same pattern as SplitSearch::kNaive)
+// permanent differential baseline, as Lloyd's scan is for Hamerly k-means)
 // plus AVX2 and AVX-512 variants selected once at startup via CPUID.
 //
 // Determinism contract: every kernel is bit-identical to its scalar

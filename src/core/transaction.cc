@@ -82,27 +82,26 @@ Result<TransactionDatabase> TransactionDatabase::FromBasketText(
   return db;
 }
 
-Result<TransactionDatabase> TransactionDatabase::FromColumns(
-    std::vector<uint64_t> offsets, std::vector<ItemId> items) {
+Result<size_t> CheckSortedCsr(std::span<const uint64_t> offsets,
+                              std::span<const ItemId> items) {
   if (offsets.empty() || offsets.front() != 0) {
-    return Status::Corruption(
-        "transaction offsets must start with a 0 entry");
+    return Status::Corruption("CSR offsets must start with a 0 entry");
   }
   if (offsets.back() != items.size()) {
     return Status::Corruption(
-        "last transaction offset " + std::to_string(offsets.back()) +
+        "last CSR offset " + std::to_string(offsets.back()) +
         " does not match item count " + std::to_string(items.size()));
   }
   size_t universe = 0;
   for (size_t t = 0; t + 1 < offsets.size(); ++t) {
     if (offsets[t] > offsets[t + 1]) {
-      return Status::Corruption("transaction offsets decrease at entry " +
+      return Status::Corruption("CSR offsets decrease at entry " +
                                 std::to_string(t + 1));
     }
     for (uint64_t i = offsets[t] + 1; i < offsets[t + 1]; ++i) {
       if (items[i - 1] >= items[i]) {
         return Status::Corruption(
-            "transaction " + std::to_string(t) +
+            "row " + std::to_string(t) +
             " is not strictly increasing (items must be sorted and "
             "duplicate-free)");
       }
@@ -112,6 +111,12 @@ Result<TransactionDatabase> TransactionDatabase::FromColumns(
           universe, static_cast<size_t>(items[offsets[t + 1] - 1]) + 1);
     }
   }
+  return universe;
+}
+
+Result<TransactionDatabase> TransactionDatabase::FromColumns(
+    std::vector<uint64_t> offsets, std::vector<ItemId> items) {
+  DMT_ASSIGN_OR_RETURN(size_t universe, CheckSortedCsr(offsets, items));
   TransactionDatabase db;
   db.offsets_ = std::move(offsets);
   db.items_ = std::move(items);

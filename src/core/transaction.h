@@ -12,6 +12,14 @@
 
 namespace dmt::core {
 
+/// Validates a sorted CSR layout: offsets start at 0, never decrease and
+/// end at items.size(), and every row is strictly increasing (sorted and
+/// duplicate-free). Returns one past the largest item (0 when empty), or
+/// Corruption naming the first violation. TransactionDatabase::FromColumns
+/// and every container loader of a CSR layout run this one check.
+Result<size_t> CheckSortedCsr(std::span<const uint64_t> offsets,
+                              std::span<const ItemId> items);
+
 /// Immutable-after-append set of transactions; each transaction is a sorted,
 /// duplicate-free list of item ids. Stored CSR-style (one offsets array, one
 /// flat items array) for cache-friendly scans — the dominant access pattern
@@ -50,10 +58,9 @@ class TransactionDatabase {
   static Result<TransactionDatabase> FromBasketText(std::string_view text);
 
   /// Adopts a pre-built CSR layout (the binary-container load path).
-  /// Validates the structural invariants Add() establishes — offsets start
-  /// at 0, grow monotonically, end at items.size(), and every transaction
-  /// is strictly increasing — and returns Corruption when they fail, so a
-  /// malformed file can never produce a database that violates miner
+  /// Validates the structural invariants Add() establishes with
+  /// CheckSortedCsr and returns Corruption when they fail, so a malformed
+  /// file can never produce a database that violates miner
   /// preconditions.
   static Result<TransactionDatabase> FromColumns(
       std::vector<uint64_t> offsets, std::vector<ItemId> items);

@@ -77,6 +77,26 @@ class ByteReader {
     return out;
   }
 
+  /// Reads a list count stored as T (uint32_t or uint64_t) and returns
+  /// Corruption unless that many elements of at least
+  /// `min_element_bytes` each fit in the bytes left in `elements` — this
+  /// stream by default, or the reader of the section a META count sizes.
+  /// Every loader sizes its lists from this result, so a lying count is
+  /// rejected before it can become a huge allocation.
+  template <typename T>
+  core::Result<uint64_t> ReadCount(size_t min_element_bytes,
+                                   const ByteReader* elements = nullptr) {
+    DMT_ASSIGN_OR_RETURN(T count, ReadScalar<T>());
+    const ByteReader& room = elements != nullptr ? *elements : *this;
+    if (count > room.remaining() / min_element_bytes) {
+      return core::Status::Corruption(
+          context_ + ": list count " + std::to_string(count) +
+          " exceeds what the " + std::to_string(room.remaining()) +
+          " remaining byte(s) of " + room.context_ + " can hold");
+    }
+    return uint64_t{count};
+  }
+
   /// Reads a u64 count followed by that many elements. `max_elements`
   /// caps the count so a corrupted length cannot trigger a huge
   /// allocation before the bounds check fires.

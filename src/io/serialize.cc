@@ -27,6 +27,9 @@ constexpr uint32_t kQuantItems = 2;
 constexpr uint32_t kQuantRules = 3;
 constexpr uint32_t kColumnBase = 16;
 
+/// A serialized string is at least its u32 length prefix.
+constexpr size_t kMinStringBytes = sizeof(uint32_t);
+
 core::Status WriteContainer(const ContainerWriter& writer,
                             const std::string& path) {
   obs::Span span("io/serialize/write");
@@ -36,11 +39,22 @@ core::Status WriteContainer(const ContainerWriter& writer,
   return core::WriteFileBytes(path, bytes);
 }
 
-core::Result<ContainerReader> MapContainer(const std::string& path,
-                                           ArtifactType type) {
-  // ContainerReader::Map owns the "io/container/map" span and the
-  // io/bytes_mapped counter, so direct Map callers (dmt_pack) count too.
-  return ContainerReader::Map(path, type);
+/// Rewraps a payload check's failure as corruption of `path`: shape and
+/// range failures out of a checksummed file are corruption, not caller
+/// error, so the caller sees one code (and the file name) for bad files.
+core::Status CorruptIn(const std::string& path, const core::Status& status) {
+  return core::Status::Corruption(path + ": " + status.message());
+}
+
+/// Reads a u32-counted list of strings.
+core::Result<std::vector<std::string>> ReadStrings(ByteReader* stream) {
+  DMT_ASSIGN_OR_RETURN(uint64_t count,
+                       stream->ReadCount<uint32_t>(kMinStringBytes));
+  std::vector<std::string> strings(count);
+  for (std::string& s : strings) {
+    DMT_ASSIGN_OR_RETURN(s, stream->ReadString());
+  }
+  return strings;
 }
 
 }  // namespace
@@ -96,7 +110,7 @@ core::Result<core::TransactionDatabase> LoadTransactionDatabase(
   obs::Span span("io/serialize/load/transactions");
   DMT_ASSIGN_OR_RETURN(
       ContainerReader reader,
-      MapContainer(path, ArtifactType::kTransactionDatabase));
+      ContainerReader::Map(path, ArtifactType::kTransactionDatabase));
   DMT_ASSIGN_OR_RETURN(std::span<const uint64_t> offsets,
                        reader.SectionAs<uint64_t>(kOffsets));
   DMT_ASSIGN_OR_RETURN(std::span<const core::ItemId> items,
@@ -104,11 +118,12 @@ core::Result<core::TransactionDatabase> LoadTransactionDatabase(
   uint64_t declared_universe = 0;
   DMT_RETURN_NOT_OK(
       CheckTransactionSections(reader, offsets, items, &declared_universe));
-  DMT_ASSIGN_OR_RETURN(
-      core::TransactionDatabase db,
-      core::TransactionDatabase::FromColumns(
-          std::vector<uint64_t>(offsets.begin(), offsets.end()),
-          std::vector<core::ItemId>(items.begin(), items.end())));
+  // FromColumns runs the CSR check: the load's one validation pass.
+  auto built = core::TransactionDatabase::FromColumns(
+      std::vector<uint64_t>(offsets.begin(), offsets.end()),
+      std::vector<core::ItemId>(items.begin(), items.end()));
+  if (!built.ok()) return CorruptIn(path, built.status());
+  core::TransactionDatabase db = std::move(built).value();
   if (db.item_universe() != declared_universe) {
     return core::Status::Corruption(
         path + ": META item universe " + std::to_string(declared_universe) +
@@ -124,7 +139,7 @@ core::Result<MappedTransactionDatabase> MappedTransactionDatabase::Map(
   MappedTransactionDatabase view;
   DMT_ASSIGN_OR_RETURN(
       view.reader_,
-      MapContainer(path, ArtifactType::kTransactionDatabase));
+      ContainerReader::Map(path, ArtifactType::kTransactionDatabase));
   DMT_ASSIGN_OR_RETURN(view.offsets_,
                        view.reader_.SectionAs<uint64_t>(kOffsets));
   DMT_ASSIGN_OR_RETURN(view.items_,
@@ -132,39 +147,15 @@ core::Result<MappedTransactionDatabase> MappedTransactionDatabase::Map(
   uint64_t declared_universe = 0;
   DMT_RETURN_NOT_OK(CheckTransactionSections(
       view.reader_, view.offsets_, view.items_, &declared_universe));
-  // Structural validation in place — the same invariants FromColumns
-  // enforces, without copying the arrays.
-  const auto& offsets = view.offsets_;
-  const auto& items = view.items_;
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != items.size()) {
-    return core::Status::Corruption(path + ": malformed offset array");
-  }
-  size_t universe = 0;
-  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
-    if (offsets[t] > offsets[t + 1]) {
-      return core::Status::Corruption(
-          path + ": transaction offsets decrease at entry " +
-          std::to_string(t + 1));
-    }
-    for (uint64_t i = offsets[t] + 1; i < offsets[t + 1]; ++i) {
-      if (items[i - 1] >= items[i]) {
-        return core::Status::Corruption(
-            path + ": transaction " + std::to_string(t) +
-            " is not strictly increasing");
-      }
-    }
-    if (offsets[t] < offsets[t + 1]) {
-      universe = std::max(
-          universe, static_cast<size_t>(items[offsets[t + 1] - 1]) + 1);
-    }
-  }
-  if (universe != declared_universe) {
+  // The CSR check FromColumns runs, in place on the mapping.
+  auto universe = core::CheckSortedCsr(view.offsets_, view.items_);
+  if (!universe.ok()) return CorruptIn(path, universe.status());
+  if (*universe != declared_universe) {
     return core::Status::Corruption(
         path + ": META item universe " + std::to_string(declared_universe) +
-        " does not match items (" + std::to_string(universe) + ")");
+        " does not match items (" + std::to_string(*universe) + ")");
   }
-  view.item_universe_ = universe;
+  view.item_universe_ = *universe;
   span.AddArg("transactions", view.size());
   return view;
 }
@@ -216,17 +207,16 @@ core::Status WriteDataset(const core::Dataset& dataset,
 core::Result<core::Dataset> LoadDataset(const std::string& path) {
   obs::Span span("io/serialize/load/dataset");
   DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kDataset));
+                       ContainerReader::Map(path, ArtifactType::kDataset));
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> schema_bytes,
                        reader.Section(kMeta));
   ByteReader schema(schema_bytes, path + ": SCHEMA");
   DMT_ASSIGN_OR_RETURN(uint64_t num_rows, schema.ReadU64());
-  DMT_ASSIGN_OR_RETURN(uint32_t num_attributes, schema.ReadU32());
-  DMT_ASSIGN_OR_RETURN(uint32_t num_classes, schema.ReadU32());
-  std::vector<std::string> class_names(num_classes);
-  for (uint32_t c = 0; c < num_classes; ++c) {
-    DMT_ASSIGN_OR_RETURN(class_names[c], schema.ReadString());
-  }
+  // An attribute holds at least a name length and a type tag.
+  DMT_ASSIGN_OR_RETURN(uint64_t num_attributes,
+                       schema.ReadCount<uint32_t>(kMinStringBytes + 1));
+  DMT_ASSIGN_OR_RETURN(std::vector<std::string> class_names,
+                       ReadStrings(&schema));
 
   core::DatasetBuilder builder;
   for (uint32_t a = 0; a < num_attributes; ++a) {
@@ -250,11 +240,8 @@ core::Result<core::Dataset> LoadDataset(const std::string& path) {
       builder.AddNumericColumn(
           std::move(name), std::vector<double>(column.begin(), column.end()));
     } else {
-      DMT_ASSIGN_OR_RETURN(uint32_t num_categories, schema.ReadU32());
-      std::vector<std::string> categories(num_categories);
-      for (uint32_t c = 0; c < num_categories; ++c) {
-        DMT_ASSIGN_OR_RETURN(categories[c], schema.ReadString());
-      }
+      DMT_ASSIGN_OR_RETURN(std::vector<std::string> categories,
+                           ReadStrings(&schema));
       DMT_ASSIGN_OR_RETURN(std::span<const uint32_t> column,
                            reader.SectionAs<uint32_t>(column_id));
       if (column.size() != num_rows) {
@@ -281,12 +268,7 @@ core::Result<core::Dataset> LoadDataset(const std::string& path) {
   builder.SetLabels(std::vector<uint32_t>(labels.begin(), labels.end()),
                     std::move(class_names));
   auto built = builder.Build();
-  if (!built.ok()) {
-    // Shape/range failures out of a checksummed file are corruption, not
-    // caller error — rewrap so the caller sees one code for bad files.
-    return core::Status::Corruption(path + ": " +
-                                    built.status().message());
-  }
+  if (!built.ok()) return CorruptIn(path, built.status());
   span.AddArg("rows", num_rows);
   return std::move(built).value();
 }
@@ -331,7 +313,7 @@ core::Status WriteMiningResult(const assoc::MiningResult& result,
 core::Result<assoc::MiningResult> LoadMiningResult(const std::string& path) {
   obs::Span span("io/serialize/load/mining_result");
   DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kMiningResult));
+                       ContainerReader::Map(path, ArtifactType::kMiningResult));
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> meta_bytes,
                        reader.Section(kMeta));
   ByteReader meta(meta_bytes, path + ": META");
@@ -343,12 +325,8 @@ core::Result<assoc::MiningResult> LoadMiningResult(const std::string& path) {
   DMT_ASSIGN_OR_RETURN(result.tidset_intersections, meta.ReadU64());
   DMT_ASSIGN_OR_RETURN(result.partitions_mined, meta.ReadU64());
   DMT_ASSIGN_OR_RETURN(result.bytes_mapped, meta.ReadU64());
-  DMT_ASSIGN_OR_RETURN(uint64_t num_passes, meta.ReadU64());
-  if (num_passes > meta.remaining() / (3 * sizeof(uint64_t))) {
-    return core::Status::Corruption(path + ": pass census count " +
-                                    std::to_string(num_passes) +
-                                    " exceeds the META section");
-  }
+  DMT_ASSIGN_OR_RETURN(uint64_t num_passes,
+                       meta.ReadCount<uint64_t>(3 * sizeof(uint64_t)));
   result.passes.resize(num_passes);
   for (assoc::PassStats& pass : result.passes) {
     DMT_ASSIGN_OR_RETURN(uint64_t pass_k, meta.ReadU64());
@@ -371,25 +349,13 @@ core::Result<assoc::MiningResult> LoadMiningResult(const std::string& path) {
     return core::Status::Corruption(
         path + ": section sizes disagree with the META counts");
   }
-  if (num_itemsets > 0 &&
-      (offsets.front() != 0 || offsets.back() != items.size())) {
-    return core::Status::Corruption(path + ": malformed itemset offsets");
-  }
+  auto checked = core::CheckSortedCsr(offsets, items);
+  if (!checked.ok()) return CorruptIn(path, checked.status());
   result.itemsets.resize(num_itemsets);
   for (uint64_t i = 0; i < num_itemsets; ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      return core::Status::Corruption(
-          path + ": itemset offsets decrease at entry " + std::to_string(i));
-    }
     assoc::FrequentItemset& itemset = result.itemsets[i];
     itemset.items.assign(items.begin() + offsets[i],
                          items.begin() + offsets[i + 1]);
-    for (size_t j = 1; j < itemset.items.size(); ++j) {
-      if (itemset.items[j - 1] >= itemset.items[j]) {
-        return core::Status::Corruption(
-            path + ": itemset " + std::to_string(i) + " is not sorted");
-      }
-    }
     itemset.support = supports[i];
   }
   span.AddArg("itemsets", num_itemsets);
@@ -420,14 +386,13 @@ void AppendRuleStream(const std::vector<assoc::AssociationRule>& rules,
 }
 
 core::Result<std::vector<assoc::AssociationRule>> ReadRuleStream(
-    ByteReader* stream, const std::string& context) {
-  DMT_ASSIGN_OR_RETURN(uint64_t num_rules, stream->ReadU64());
-  // Each rule needs at least its two array headers + fixed fields.
-  if (num_rules > stream->remaining() / (2 * sizeof(uint64_t))) {
-    return core::Status::Corruption(context + ": rule count " +
-                                    std::to_string(num_rules) +
-                                    " exceeds the section");
-  }
+    ByteReader* stream) {
+  // A rule holds at least its two array counts, its support count and
+  // its five measures.
+  DMT_ASSIGN_OR_RETURN(uint64_t num_rules,
+                       stream->ReadCount<uint64_t>(
+                           2 * sizeof(uint64_t) + sizeof(uint32_t) +
+                           5 * sizeof(double)));
   std::vector<assoc::AssociationRule> rules(num_rules);
   for (assoc::AssociationRule& rule : rules) {
     DMT_ASSIGN_OR_RETURN(
@@ -461,12 +426,12 @@ core::Result<std::vector<assoc::AssociationRule>> LoadRuleSet(
     const std::string& path) {
   obs::Span span("io/serialize/load/rule_set");
   DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kRuleSet));
+                       ContainerReader::Map(path, ArtifactType::kRuleSet));
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> payload,
                        reader.Section(kRules));
   ByteReader stream(payload, path + ": RULES");
   DMT_ASSIGN_OR_RETURN(std::vector<assoc::AssociationRule> rules,
-                       ReadRuleStream(&stream, path + ": RULES"));
+                       ReadRuleStream(&stream));
   DMT_RETURN_NOT_OK(stream.ExpectEnd());
   span.AddArg("rules", rules.size());
   return rules;
@@ -506,7 +471,7 @@ core::Status WriteQuantRuleSet(const assoc::QuantRuleSet& rule_set,
 core::Result<assoc::QuantRuleSet> LoadQuantRuleSet(const std::string& path) {
   obs::Span span("io/serialize/load/quant_rule_set");
   DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kQuantRuleSet));
+                       ContainerReader::Map(path, ArtifactType::kQuantRuleSet));
   assoc::QuantRuleSet rule_set;
 
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> meta_payload,
@@ -521,12 +486,11 @@ core::Result<assoc::QuantRuleSet> LoadQuantRuleSet(const std::string& path) {
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> items_payload,
                        reader.Section(kQuantItems));
   ByteReader items(items_payload, path + ": QUANT_ITEMS");
-  DMT_ASSIGN_OR_RETURN(uint64_t num_items, items.ReadU64());
-  if (num_items > items.remaining() / sizeof(uint32_t)) {
-    return core::Status::Corruption(path + ": item count " +
-                                    std::to_string(num_items) +
-                                    " exceeds the QUANT_ITEMS section");
-  }
+  // An item holds at least its fixed fields and its label's length.
+  DMT_ASSIGN_OR_RETURN(
+      uint64_t num_items,
+      items.ReadCount<uint64_t>(4 * sizeof(uint32_t) + sizeof(uint8_t) +
+                                2 * sizeof(double) + kMinStringBytes));
   rule_set.items.resize(num_items);
   for (assoc::QuantItem& item : rule_set.items) {
     DMT_ASSIGN_OR_RETURN(item.attribute, items.ReadU32());
@@ -551,7 +515,7 @@ core::Result<assoc::QuantRuleSet> LoadQuantRuleSet(const std::string& path) {
                        reader.Section(kQuantRules));
   ByteReader rules(rules_payload, path + ": QUANT_RULES");
   DMT_ASSIGN_OR_RETURN(rule_set.rules,
-                       ReadRuleStream(&rules, path + ": QUANT_RULES"));
+                       ReadRuleStream(&rules));
   DMT_RETURN_NOT_OK(rules.ExpectEnd());
   for (const assoc::AssociationRule& rule : rule_set.rules) {
     for (const assoc::Itemset* side : {&rule.antecedent, &rule.consequent}) {
@@ -613,27 +577,112 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
   return WriteContainer(writer, path);
 }
 
+namespace {
+
+/// The shape every tree the library writes has, checked once NAMES is
+/// read: children are numbered after their parent and have one parent
+/// each (so every walk from the root ends), each split has the children
+/// its kind routes to and an attribute of the matching kind, leaves have
+/// no children, and every histogram has one entry per class name.
+/// Prediction and rendering index children, columns and names by these
+/// fields without further checks.
+core::Status CheckTreeShape(const tree::DecisionTree& tree,
+                            const std::string& path) {
+  using tree::internal::TreeAccess;
+  const size_t num_attributes = TreeAccess::AttributeNames(tree).size();
+  const auto& categories = TreeAccess::AttributeCategories(tree);
+  const size_t num_classes = TreeAccess::ClassNames(tree).size();
+  if (categories.size() != num_attributes) {
+    return core::Status::Corruption(
+        path + ": NAMES holds " + std::to_string(num_attributes) +
+        " attribute names but " + std::to_string(categories.size()) +
+        " category lists");
+  }
+  std::vector<bool> has_parent(tree.num_nodes(), false);
+  for (size_t n = 0; n < tree.num_nodes(); ++n) {
+    const tree::TreeNode& node = tree.node(n);
+    auto bad = [&](const std::string& what) {
+      return core::Status::Corruption(path + ": node " + std::to_string(n) +
+                                      " " + what);
+    };
+    for (uint32_t child : node.children) {
+      if (child <= n || child >= tree.num_nodes()) {
+        return bad("has child index " + std::to_string(child) +
+                   " outside (" + std::to_string(n) + ", " +
+                   std::to_string(tree.num_nodes()) + ")");
+      }
+      if (has_parent[child]) {
+        return bad("has child " + std::to_string(child) +
+                   ", which already has a parent");
+      }
+      has_parent[child] = true;
+    }
+    if (node.class_counts.size() != num_classes) {
+      return bad("has " + std::to_string(node.class_counts.size()) +
+                 " histogram entries for " + std::to_string(num_classes) +
+                 " class names");
+    }
+    if (node.is_leaf) {
+      if (!node.children.empty()) return bad("is a leaf with children");
+      continue;
+    }
+    if (node.attribute >= num_attributes) {
+      return bad("splits attribute " + std::to_string(node.attribute) +
+                 " of " + std::to_string(num_attributes));
+    }
+    const size_t num_categories = categories[node.attribute].size();
+    size_t num_children = 2;
+    switch (node.kind) {
+      case tree::SplitKind::kNumericThreshold:
+        if (num_categories != 0) {
+          return bad("puts a threshold on categorical attribute " +
+                     std::to_string(node.attribute));
+        }
+        break;
+      case tree::SplitKind::kCategoricalEquals:
+        if (node.category >= num_categories) {
+          return bad("tests category " + std::to_string(node.category) +
+                     " of attribute " + std::to_string(node.attribute) +
+                     ", which has " + std::to_string(num_categories));
+        }
+        break;
+      case tree::SplitKind::kCategoricalMultiway:
+        num_children = num_categories;
+        break;
+    }
+    if (num_children == 0 || node.children.size() != num_children) {
+      return bad("has " + std::to_string(node.children.size()) +
+                 " children where its split on attribute " +
+                 std::to_string(node.attribute) + " routes to " +
+                 std::to_string(num_children));
+    }
+  }
+  return core::Status::OK();
+}
+
+}  // namespace
+
 core::Result<tree::DecisionTree> LoadDecisionTree(const std::string& path) {
   obs::Span span("io/serialize/load/tree");
-  DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kDecisionTree));
+  DMT_ASSIGN_OR_RETURN(
+      ContainerReader reader,
+      ContainerReader::Map(path, ArtifactType::kDecisionTree));
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> meta_bytes,
                        reader.Section(kMeta));
+  DMT_ASSIGN_OR_RETURN(std::span<const std::byte> node_bytes,
+                       reader.Section(kNodes));
   ByteReader meta(meta_bytes, path + ": META");
-  DMT_ASSIGN_OR_RETURN(uint64_t num_nodes, meta.ReadU64());
+  ByteReader nodes(node_bytes, path + ": NODES");
+  // A node holds at least its two tags, three u32 fields, its threshold
+  // and its two array counts.
+  DMT_ASSIGN_OR_RETURN(
+      uint64_t num_nodes,
+      meta.ReadCount<uint64_t>(2 * sizeof(uint8_t) + 3 * sizeof(uint32_t) +
+                                   sizeof(double) + 2 * sizeof(uint64_t),
+                               &nodes));
   DMT_RETURN_NOT_OK(meta.ExpectEnd());
   if (num_nodes == 0) {
     return core::Status::Corruption(path + ": tree with zero nodes");
-  }
-
-  DMT_ASSIGN_OR_RETURN(std::span<const std::byte> node_bytes,
-                       reader.Section(kNodes));
-  ByteReader nodes(node_bytes, path + ": NODES");
-  // A serialized node occupies at least its fixed fields.
-  if (num_nodes > node_bytes.size() / 22) {
-    return core::Status::Corruption(path + ": node count " +
-                                    std::to_string(num_nodes) +
-                                    " exceeds the NODES section");
   }
   tree::DecisionTree tree;
   auto& arena = tree::internal::TreeAccess::Nodes(tree);
@@ -662,47 +711,26 @@ core::Result<tree::DecisionTree> LoadDecisionTree(const std::string& path) {
           path + ": node " + std::to_string(n) +
           " majority class is out of its histogram's range");
     }
-    for (uint32_t child : node.children) {
-      if (child >= num_nodes || child == n) {
-        return core::Status::Corruption(path + ": node " +
-                                        std::to_string(n) +
-                                        " has an out-of-range child index");
-      }
-    }
-    if (!node.is_leaf && node.children.empty()) {
-      return core::Status::Corruption(path + ": internal node " +
-                                      std::to_string(n) + " has no children");
-    }
   }
   DMT_RETURN_NOT_OK(nodes.ExpectEnd());
 
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> name_bytes,
                        reader.Section(kNames));
   ByteReader names(name_bytes, path + ": NAMES");
-  DMT_ASSIGN_OR_RETURN(uint32_t num_attribute_names, names.ReadU32());
-  auto& attribute_names = tree::internal::TreeAccess::AttributeNames(tree);
-  attribute_names.resize(num_attribute_names);
-  for (std::string& name : attribute_names) {
-    DMT_ASSIGN_OR_RETURN(name, names.ReadString());
-  }
-  DMT_ASSIGN_OR_RETURN(uint32_t num_attribute_categories, names.ReadU32());
+  DMT_ASSIGN_OR_RETURN(tree::internal::TreeAccess::AttributeNames(tree),
+                       ReadStrings(&names));
+  DMT_ASSIGN_OR_RETURN(uint64_t num_category_lists,
+                       names.ReadCount<uint32_t>(kMinStringBytes));
   auto& attribute_categories =
       tree::internal::TreeAccess::AttributeCategories(tree);
-  attribute_categories.resize(num_attribute_categories);
+  attribute_categories.resize(num_category_lists);
   for (auto& categories : attribute_categories) {
-    DMT_ASSIGN_OR_RETURN(uint32_t count, names.ReadU32());
-    categories.resize(count);
-    for (std::string& category : categories) {
-      DMT_ASSIGN_OR_RETURN(category, names.ReadString());
-    }
+    DMT_ASSIGN_OR_RETURN(categories, ReadStrings(&names));
   }
-  DMT_ASSIGN_OR_RETURN(uint32_t num_class_names, names.ReadU32());
-  auto& class_names = tree::internal::TreeAccess::ClassNames(tree);
-  class_names.resize(num_class_names);
-  for (std::string& name : class_names) {
-    DMT_ASSIGN_OR_RETURN(name, names.ReadString());
-  }
+  DMT_ASSIGN_OR_RETURN(tree::internal::TreeAccess::ClassNames(tree),
+                       ReadStrings(&names));
   DMT_RETURN_NOT_OK(names.ExpectEnd());
+  DMT_RETURN_NOT_OK(CheckTreeShape(tree, path));
   span.AddArg("nodes", num_nodes);
   return tree;
 }
@@ -730,7 +758,7 @@ core::Result<cluster::ClusteringResult> LoadKMeansModel(
     const std::string& path) {
   obs::Span span("io/serialize/load/kmeans");
   DMT_ASSIGN_OR_RETURN(ContainerReader reader,
-                       MapContainer(path, ArtifactType::kKMeansModel));
+                       ContainerReader::Map(path, ArtifactType::kKMeansModel));
   DMT_ASSIGN_OR_RETURN(std::span<const std::byte> meta_bytes,
                        reader.Section(kMeta));
   ByteReader meta(meta_bytes, path + ": META");
@@ -754,10 +782,7 @@ core::Result<cluster::ClusteringResult> LoadKMeansModel(
   }
   auto center_set = core::PointSet::FromFlat(
       dim, std::vector<double>(centers.begin(), centers.end()));
-  if (!center_set.ok()) {
-    return core::Status::Corruption(path + ": " +
-                                    center_set.status().message());
-  }
+  if (!center_set.ok()) return CorruptIn(path, center_set.status());
   model.centers = std::move(center_set).value();
 
   DMT_ASSIGN_OR_RETURN(std::span<const uint32_t> assignments,

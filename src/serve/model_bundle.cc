@@ -12,6 +12,41 @@ namespace dmt::serve {
 using core::Result;
 using core::Status;
 
+namespace {
+
+/// Every split must read a schema attribute of the type it needs: a
+/// numeric threshold a numeric attribute, an equals or multiway split a
+/// categorical one. Prediction reads the column without checking.
+Status CheckTreeAgainstSchema(const tree::DecisionTree& tree,
+                              const std::vector<core::AttributeInfo>& schema) {
+  auto type_name = [](bool numeric) {
+    return numeric ? "numeric" : "categorical";
+  };
+  for (size_t n = 0; n < tree.num_nodes(); ++n) {
+    const tree::TreeNode& node = tree.node(n);
+    if (node.is_leaf) continue;
+    if (node.attribute >= schema.size()) {
+      return Status::InvalidArgument(core::StrFormat(
+          "serving bundle: tree node %zu splits attribute %u, but the "
+          "serving schema has %zu attributes",
+          n, node.attribute, schema.size()));
+    }
+    const bool split_numeric = node.kind == tree::SplitKind::kNumericThreshold;
+    const core::AttributeInfo& info = schema[node.attribute];
+    const bool schema_numeric = info.type == core::AttributeType::kNumeric;
+    if (split_numeric != schema_numeric) {
+      return Status::InvalidArgument(core::StrFormat(
+          "serving bundle: tree node %zu splits attribute %u ('%s') as "
+          "%s, but the serving schema has it %s",
+          n, node.attribute, info.name.c_str(), type_name(split_numeric),
+          type_name(schema_numeric)));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
     const ModelPaths& paths) {
   obs::Span span("serve/bundle/load");
@@ -75,6 +110,10 @@ Status ModelBundle::FinishInit() {
       }
       schema_.push_back(std::move(info));
     }
+  }
+
+  if (tree_.has_value()) {
+    DMT_RETURN_NOT_OK(CheckTreeAgainstSchema(*tree_, schema_));
   }
 
   if (train_.has_value()) {

@@ -8,7 +8,9 @@
 //   - per-rule 64-bit antecedent/consequent Bloom signatures gating the
 //     exact bitset containment scan
 //   - the serving schema (AttributeInfo per feature) for assembling
-//     request records into Datasets with the training schema
+//     request records into Datasets with the training schema; every tree
+//     split is checked against it at load, so a tree never reads a column
+//     of the wrong type
 //   - fitted kNN (brute-force mode => SoA distance kernel per query) and
 //     naive-Bayes classifiers over the bundled training dataset
 //

@@ -46,11 +46,10 @@ struct BestSplit {
 
 /// Everything one node needs for split search: its rows (ascending row id
 /// — partitions preserve the parent's order, and the root is the identity)
-/// and, on the presorted engine, its view of every numeric attribute's
-/// presorted row order. Children derive their orders by a stable one-pass
-/// partition of the parent's arrays, so the invariant "order[a] = the
-/// node's rows sorted by (value, row id)" holds at every node without
-/// ever re-sorting.
+/// and its view of every numeric attribute's presorted row order. Children
+/// derive their orders by a stable one-pass partition of the parent's
+/// arrays, so the invariant "order[a] = the node's rows sorted by (value,
+/// row id)" holds at every node without ever re-sorting.
 struct Workset {
   std::vector<uint32_t> rows;
   std::vector<std::vector<uint32_t>> order;
@@ -67,7 +66,6 @@ struct ScanScratch {
   std::vector<uint32_t> best_left; // num_classes
   std::vector<uint32_t> flat;      // child-major categorical histograms
   std::vector<uint32_t> sizes;     // partition sizes for SplitScoreFlat
-  std::vector<uint32_t> sort_buf;  // naive engine's per-node sort
 };
 
 /// Builder state shared across the recursion.
@@ -114,7 +112,7 @@ class TreeBuilderImpl {
     Workset root;
     root.rows.resize(data_.num_rows());
     std::iota(root.rows.begin(), root.rows.end(), 0u);
-    if (options_.split_search == SplitSearch::kPresorted) {
+    {
       obs::Span presort_span("tree/greedy/presort");
       Presort(&root);
     }
@@ -293,20 +291,7 @@ class TreeBuilderImpl {
                      ScanScratch* s) const {
     if (data_.attribute(attribute).type == AttributeType::kNumeric) {
       if (!options_.allow_numeric_splits) return;
-      std::span<const uint32_t> sorted;
-      if (options_.split_search == SplitSearch::kPresorted) {
-        sorted = ws.order[attribute];
-      } else {
-        auto column = data_.NumericColumn(attribute);
-        s->sort_buf.assign(ws.rows.begin(), ws.rows.end());
-        std::sort(s->sort_buf.begin(), s->sort_buf.end(),
-                  [&](uint32_t a, uint32_t b) {
-                    return column[a] != column[b] ? column[a] < column[b]
-                                                  : a < b;
-                  });
-        sorted = s->sort_buf;
-      }
-      ScanNumericSorted(sorted, attribute, parent_counts, s);
+      ScanNumericSorted(ws.order[attribute], attribute, parent_counts, s);
     } else {
       ScanCategorical(ws.rows, attribute, parent_counts, s);
     }
@@ -425,28 +410,23 @@ class TreeBuilderImpl {
     for (uint32_t row : ws.rows) {
       children[row_child_[row]].rows.push_back(row);
     }
-    if (options_.split_search == SplitSearch::kPresorted) {
-      const size_t num_attributes = data_.num_attributes();
-      for (Workset& child : children) child.order.resize(num_attributes);
-      auto partition_attribute = [&](size_t a) {
-        if (!ScansNumeric(a)) return;
-        for (size_t c = 0; c < num_children; ++c) {
-          children[c].order[a].reserve(child_sizes_[c]);
-        }
-        for (uint32_t row : ws.order[a]) {
-          children[row_child_[row]].order[a].push_back(row);
-        }
-      };
-      if (ctx_.parallel() && ws.rows.size() >= kParallelMinRows) {
-        ctx_.ForEachChunk(num_attributes,
-                          [&](size_t, size_t begin, size_t end) {
-                            for (size_t a = begin; a < end; ++a) {
-                              partition_attribute(a);
-                            }
-                          });
-      } else {
-        for (size_t a = 0; a < num_attributes; ++a) partition_attribute(a);
+    const size_t num_attributes = data_.num_attributes();
+    for (Workset& child : children) child.order.resize(num_attributes);
+    auto partition_attribute = [&](size_t a) {
+      if (!ScansNumeric(a)) return;
+      for (size_t c = 0; c < num_children; ++c) {
+        children[c].order[a].reserve(child_sizes_[c]);
       }
+      for (uint32_t row : ws.order[a]) {
+        children[row_child_[row]].order[a].push_back(row);
+      }
+    };
+    if (ctx_.parallel() && ws.rows.size() >= kParallelMinRows) {
+      ctx_.ForEachChunk(num_attributes, [&](size_t, size_t begin, size_t end) {
+        for (size_t a = begin; a < end; ++a) partition_attribute(a);
+      });
+    } else {
+      for (size_t a = 0; a < num_attributes; ++a) partition_attribute(a);
     }
     ws = Workset{};
 

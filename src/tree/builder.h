@@ -17,22 +17,6 @@ enum class CategoricalSplitStyle {
   kBinary,
 };
 
-/// How numeric threshold candidates are enumerated. Both engines grow
-/// bit-identical trees (structure, thresholds, leaf histograms); they
-/// differ only in how the per-node sorted orders are obtained.
-enum class SplitSearch {
-  /// Copy and re-sort the node's rows for every numeric attribute at
-  /// every node — O(depth · attrs · n log n), the TKDE'93-era reference
-  /// path. Kept as the differential-testing baseline and ablation point.
-  kNaive,
-  /// Sort each numeric attribute once up front into a row-index array
-  /// (ties broken by row id so the order is fully specified), then derive
-  /// each child's order by a stable one-pass partition of the parent's
-  /// arrays (the SLIQ/SPRINT attribute-list idea applied to the greedy
-  /// builder); per-node split search becomes a linear sweep.
-  kPresorted,
-};
-
 /// Induction hyper-parameters.
 struct TreeOptions {
   SplitCriterion criterion = SplitCriterion::kGainRatio;
@@ -47,8 +31,6 @@ struct TreeOptions {
   size_t max_depth = 0;
   /// Minimum criterion improvement to accept a split.
   double min_gain = 1e-9;
-  /// Numeric split-search engine (see SplitSearch; trees are identical).
-  SplitSearch split_search = SplitSearch::kPresorted;
   /// Worker threads for the per-attribute best-split search; 0 (default)
   /// or 1 = serial. Threaded runs grow bit-identical trees: attributes
   /// are scanned in contiguous chunks and the candidate splits merged in
@@ -58,8 +40,13 @@ struct TreeOptions {
   core::Status Validate() const;
 };
 
-/// Grows a decision tree on `data` (all rows). When `stats` is non-null it
-/// receives the split-search work counters.
+/// Grows a decision tree on `data` (all rows). Each numeric attribute is
+/// sorted once up front into a row-index array under the (value, row id)
+/// order, and each child's order is derived by a stable one-pass
+/// partition of its parent's arrays (the SLIQ/SPRINT attribute-list idea
+/// applied to the greedy builder), so per-node split search is a linear
+/// sweep. When `stats` is non-null it receives the split-search work
+/// counters.
 core::Result<DecisionTree> BuildTree(const core::Dataset& data,
                                      const TreeOptions& options,
                                      TreeBuildStats* stats = nullptr);

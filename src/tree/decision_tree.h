@@ -60,7 +60,7 @@ struct TreeNode {
 /// every (row, attribute) visit made while evaluating candidate splits —
 /// the numeric boundary sweeps and the categorical histogram passes — and
 /// is covered by the determinism contract: it is identical across
-/// split-search engines and across num_threads settings.
+/// num_threads settings.
 struct TreeBuildStats {
   uint64_t split_scan_rows = 0;
 };

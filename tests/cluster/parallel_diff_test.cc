@@ -91,7 +91,7 @@ TEST(KMeansParallelDiffTest, WeightedMatchesSerial) {
   }
 }
 
-// The bound-pruned assignment engines keep per-point bound arrays that
+// The bound-pruned assignment engine keeps per-point bound arrays that
 // are maintained chunk-parallel; serial and threaded runs must agree
 // bit-for-bit with each other *and* with serial Lloyd.
 TEST(KMeansParallelDiffTest, PrunedEnginesMatchSerialAndLloyd) {
@@ -101,41 +101,34 @@ TEST(KMeansParallelDiffTest, PrunedEnginesMatchSerialAndLloyd) {
   options.seed = 5;
   auto lloyd = KMeans(data.points, options);
   ASSERT_TRUE(lloyd.ok());
-  for (auto method : {KMeansOptions::Assignment::kHamerly,
-                      KMeansOptions::Assignment::kElkan}) {
-    options.assignment = method;
-    options.num_threads = 0;
-    auto serial = KMeans(data.points, options);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(lloyd->assignments, serial->assignments);
-    EXPECT_EQ(lloyd->sse, serial->sse);
-    EXPECT_EQ(lloyd->iterations, serial->iterations);
-    for (size_t threads : {2u, 4u}) {
-      options.num_threads = threads;
-      auto parallel = KMeans(data.points, options);
-      ASSERT_TRUE(parallel.ok());
-      ExpectSameClustering(*serial, *parallel, threads);
-    }
+  options.assignment = KMeansOptions::Assignment::kHamerly;
+  auto serial = KMeans(data.points, options);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(lloyd->assignments, serial->assignments);
+  EXPECT_EQ(lloyd->sse, serial->sse);
+  EXPECT_EQ(lloyd->iterations, serial->iterations);
+  for (size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    auto parallel = KMeans(data.points, options);
+    ASSERT_TRUE(parallel.ok());
+    ExpectSameClustering(*serial, *parallel, threads);
   }
 }
 
 TEST(KMeansParallelDiffTest, PrunedForgySeedingMatchesSerial) {
   auto data = Mixture(6, 0.0, /*seed=*/38);
-  for (auto method : {KMeansOptions::Assignment::kHamerly,
-                      KMeansOptions::Assignment::kElkan}) {
-    KMeansOptions options;
-    options.k = 6;
-    options.seed = 11;
-    options.init = KMeansInit::kForgy;
-    options.assignment = method;
-    auto serial = KMeans(data.points, options);
-    ASSERT_TRUE(serial.ok());
-    for (size_t threads : {2u, 4u}) {
-      options.num_threads = threads;
-      auto parallel = KMeans(data.points, options);
-      ASSERT_TRUE(parallel.ok());
-      ExpectSameClustering(*serial, *parallel, threads);
-    }
+  KMeansOptions options;
+  options.k = 6;
+  options.seed = 11;
+  options.init = KMeansInit::kForgy;
+  options.assignment = KMeansOptions::Assignment::kHamerly;
+  auto serial = KMeans(data.points, options);
+  ASSERT_TRUE(serial.ok());
+  for (size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    auto parallel = KMeans(data.points, options);
+    ASSERT_TRUE(parallel.ok());
+    ExpectSameClustering(*serial, *parallel, threads);
   }
 }
 
@@ -145,20 +138,17 @@ TEST(KMeansParallelDiffTest, WeightedPrunedMatchesSerial) {
   for (size_t i = 0; i < weights.size(); ++i) {
     weights[i] = 1.0 + static_cast<double>(i % 7);
   }
-  for (auto method : {KMeansOptions::Assignment::kHamerly,
-                      KMeansOptions::Assignment::kElkan}) {
-    KMeansOptions options;
-    options.k = 5;
-    options.seed = 23;
-    options.assignment = method;
-    auto serial = WeightedKMeans(data.points, weights, options);
-    ASSERT_TRUE(serial.ok());
-    for (size_t threads : {2u, 4u}) {
-      options.num_threads = threads;
-      auto parallel = WeightedKMeans(data.points, weights, options);
-      ASSERT_TRUE(parallel.ok());
-      ExpectSameClustering(*serial, *parallel, threads);
-    }
+  KMeansOptions options;
+  options.k = 5;
+  options.seed = 23;
+  options.assignment = KMeansOptions::Assignment::kHamerly;
+  auto serial = WeightedKMeans(data.points, weights, options);
+  ASSERT_TRUE(serial.ok());
+  for (size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    auto parallel = WeightedKMeans(data.points, weights, options);
+    ASSERT_TRUE(parallel.ok());
+    ExpectSameClustering(*serial, *parallel, threads);
   }
 }
 
@@ -230,7 +220,7 @@ TEST(RegistryParallelDiffTest, CounterTotalsIdenticalAcrossThreadCounts) {
     kmeans_options.seed = 5;
     kmeans_options.num_threads = threads;
     ASSERT_TRUE(KMeans(data.points, kmeans_options).ok());
-    kmeans_options.assignment = KMeansOptions::Assignment::kElkan;
+    kmeans_options.assignment = KMeansOptions::Assignment::kHamerly;
     ASSERT_TRUE(KMeans(data.points, kmeans_options).ok());
     DbscanOptions dbscan_options;
     dbscan_options.eps = 1.2;

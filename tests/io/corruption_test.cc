@@ -343,6 +343,280 @@ TEST(CorruptionTest, TreeWithDanglingChildIsRejected) {
   EXPECT_NE(loaded.status().message().find("child"), std::string::npos);
 }
 
+/// One hand-written record of a tree container's NODES section.
+struct NodeRecord {
+  bool leaf = true;
+  tree::SplitKind kind = tree::SplitKind::kNumericThreshold;
+  uint32_t majority = 0;
+  uint32_t attribute = 0;
+  uint32_t category = 0;
+  double threshold = 0.0;
+  std::vector<uint32_t> counts = {1, 1};
+  std::vector<uint32_t> children;
+};
+
+/// NAMES of a hand-written tree: attribute 0 "x" is numeric (no captured
+/// categories), attribute 1 "c" categorical with categories {a, b}.
+struct NameRecord {
+  std::vector<std::string> attributes = {"x", "c"};
+  std::vector<std::vector<std::string>> categories = {{}, {"a", "b"}};
+  std::vector<std::string> classes = {"no", "yes"};
+};
+
+NodeRecord Split(tree::SplitKind kind, uint32_t attribute,
+                 std::vector<uint32_t> children) {
+  NodeRecord node;
+  node.leaf = false;
+  node.kind = kind;
+  node.attribute = attribute;
+  node.threshold = 1.5;
+  node.children = std::move(children);
+  return node;
+}
+
+NodeRecord NumericSplit(std::vector<uint32_t> children) {
+  return Split(tree::SplitKind::kNumericThreshold, 0, std::move(children));
+}
+
+/// A NAMES payload laid out the way WriteDecisionTree lays it out.
+ByteWriter NamesBytes(const NameRecord& text) {
+  ByteWriter names;
+  names.PutU32(static_cast<uint32_t>(text.attributes.size()));
+  for (const std::string& s : text.attributes) names.PutString(s);
+  names.PutU32(static_cast<uint32_t>(text.categories.size()));
+  for (const auto& list : text.categories) {
+    names.PutU32(static_cast<uint32_t>(list.size()));
+    for (const std::string& s : list) names.PutString(s);
+  }
+  names.PutU32(static_cast<uint32_t>(text.classes.size()));
+  for (const std::string& s : text.classes) names.PutString(s);
+  return names;
+}
+
+/// Writes a CRC-valid tree container holding exactly these records and
+/// this NAMES payload, laid out the way WriteDecisionTree lays out a
+/// tree, and returns its path.
+std::string WriteRawTree(const std::string& name,
+                         const std::vector<NodeRecord>& records,
+                         const ByteWriter& names = NamesBytes({})) {
+  ByteWriter meta;
+  meta.PutU64(records.size());
+  ByteWriter nodes;
+  for (const NodeRecord& node : records) {
+    nodes.PutU8(node.leaf ? 1 : 0);
+    nodes.PutU8(static_cast<uint8_t>(node.kind));
+    nodes.PutU32(node.majority);
+    nodes.PutU32(node.attribute);
+    nodes.PutU32(node.category);
+    nodes.PutF64(node.threshold);
+    nodes.PutArray<uint32_t>(node.counts);
+    nodes.PutArray<uint32_t>(node.children);
+  }
+  ContainerWriter writer(ArtifactType::kDecisionTree);
+  writer.AddSection(1, meta.bytes());
+  writer.AddSection(2, nodes.bytes());
+  writer.AddSection(3, names.bytes());
+  const std::string path = TempPath("raw_tree_" + name + ".dmtb");
+  DMT_CHECK(writer.WriteToFile(path).ok());
+  return path;
+}
+
+void ExpectTreeCorruption(const std::string& path,
+                          const std::string& needle) {
+  auto loaded = LoadDecisionTree(path);
+  ASSERT_FALSE(loaded.ok()) << path << " was accepted";
+  EXPECT_EQ(loaded.status().code(), core::StatusCode::kCorruption)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(CorruptionTest, HandWrittenTreeRecordsLoad) {
+  // The baselines the shape cases below each break in one place: a
+  // numeric, an equals and a multiway root, each over two leaves.
+  for (NodeRecord root : {NumericSplit({1, 2}),
+                          Split(tree::SplitKind::kCategoricalEquals, 1,
+                                {1, 2}),
+                          Split(tree::SplitKind::kCategoricalMultiway, 1,
+                                {1, 2})}) {
+    auto loaded = LoadDecisionTree(WriteRawTree("ok", {root, {}, {}}));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->num_nodes(), 3u);
+  }
+}
+
+TEST(CorruptionTest, TreeChildNumberedBeforeItsParentIsRejected) {
+  // Nodes 0 and 1 are each other's children: prediction would never end.
+  ExpectTreeCorruption(
+      WriteRawTree("cycle", {NumericSplit({1, 2}), NumericSplit({0, 3}), {},
+                             {}}),
+      "child index 0");
+}
+
+TEST(CorruptionTest, TreeNodeWithTwoParentsIsRejected) {
+  ExpectTreeCorruption(
+      WriteRawTree("two_parents", {NumericSplit({1, 2}), NumericSplit({2, 3}),
+                                   {}, {}}),
+      "already has a parent");
+}
+
+TEST(CorruptionTest, TreeNumericSplitShapeIsRejected) {
+  // One child: prediction would read children[1] past the end.
+  ExpectTreeCorruption(WriteRawTree("numeric_one_child",
+                                    {NumericSplit({1}), {}}),
+                       "has 1 children");
+  // A threshold on a categorical attribute reads a missing numeric column.
+  ExpectTreeCorruption(
+      WriteRawTree("numeric_on_categorical",
+                   {Split(tree::SplitKind::kNumericThreshold, 1, {1, 2}), {},
+                    {}}),
+      "threshold on categorical attribute 1");
+}
+
+TEST(CorruptionTest, TreeEqualsSplitShapeIsRejected) {
+  NodeRecord past_categories =
+      Split(tree::SplitKind::kCategoricalEquals, 1, {1, 2});
+  past_categories.category = 2;
+  ExpectTreeCorruption(
+      WriteRawTree("equals_category", {past_categories, {}, {}}),
+      "tests category 2");
+  ExpectTreeCorruption(
+      WriteRawTree("equals_three_children",
+                   {Split(tree::SplitKind::kCategoricalEquals, 1, {1, 2, 3}),
+                    {}, {}, {}}),
+      "has 3 children");
+}
+
+TEST(CorruptionTest, TreeMultiwaySplitShapeIsRejected) {
+  ExpectTreeCorruption(
+      WriteRawTree("multiway_one_child",
+                   {Split(tree::SplitKind::kCategoricalMultiway, 1, {1}), {}}),
+      "has 1 children");
+  // A numeric attribute has no categories to route by.
+  ExpectTreeCorruption(
+      WriteRawTree("multiway_on_numeric",
+                   {Split(tree::SplitKind::kCategoricalMultiway, 0, {1, 2}),
+                    {}, {}}),
+      "routes to 0");
+}
+
+TEST(CorruptionTest, TreeLeafWithChildrenIsRejected) {
+  NodeRecord leaf;
+  leaf.children = {1, 2};
+  ExpectTreeCorruption(WriteRawTree("leaf_children", {leaf, {}, {}}),
+                       "leaf with children");
+}
+
+TEST(CorruptionTest, TreeSplitAttributeOutOfRangeIsRejected) {
+  // Attribute 7 of a 1-attribute tree: prediction would read past the
+  // dataset's columns.
+  NameRecord one_attribute;
+  one_attribute.attributes = {"x"};
+  one_attribute.categories = {{}};
+  ExpectTreeCorruption(
+      WriteRawTree("attribute_7",
+                   {Split(tree::SplitKind::kNumericThreshold, 7, {1, 2}), {},
+                    {}},
+                   NamesBytes(one_attribute)),
+      "splits attribute 7 of 1");
+  // Two attribute names but one category list.
+  NameRecord short_categories;
+  short_categories.categories = {{}};
+  ExpectTreeCorruption(WriteRawTree("category_lists",
+                                    {NumericSplit({1, 2}), {}, {}},
+                                    NamesBytes(short_categories)),
+                       "2 attribute names but 1 category lists");
+}
+
+TEST(CorruptionTest, TreeHistogramWidthIsRejected) {
+  // A leaf whose majority is class 2 of 2 class names would answer a
+  // label the tree cannot name.
+  NodeRecord third_class;
+  third_class.counts = {0, 0, 4};
+  third_class.majority = 2;
+  ExpectTreeCorruption(
+      WriteRawTree("histogram_width", {NumericSplit({1, 2}), {}, third_class}),
+      "3 histogram entries for 2 class names");
+}
+
+/// A u32 count no section can hold; at 32 B per std::string it asks for
+/// 128 GiB, which the allocator refuses outright.
+constexpr uint32_t kHugeCount = 0xFFFFFFFF;
+
+template <typename T>
+void ExpectCountRejected(const core::Result<T>& loaded) {
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), core::StatusCode::kCorruption)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("list count 4294967295"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(CorruptionTest, TreeNameCountsAreBoundedBySection) {
+  // One leaf, then a NAMES payload that stops at its huge count.
+  auto load = [](const std::string& name, const ByteWriter& names) {
+    return LoadDecisionTree(
+        WriteRawTree("huge_" + name, {NodeRecord{}}, names));
+  };
+  {
+    ByteWriter names;  // attribute-name count
+    names.PutU32(kHugeCount);
+    ExpectCountRejected(load("attributes", names));
+  }
+  {
+    ByteWriter names;  // category-list count
+    names.PutU32(0);
+    names.PutU32(kHugeCount);
+    ExpectCountRejected(load("category_lists", names));
+  }
+  {
+    ByteWriter names;  // one attribute's category count
+    names.PutU32(1);
+    names.PutString("c");
+    names.PutU32(1);
+    names.PutU32(kHugeCount);
+    ExpectCountRejected(load("categories", names));
+  }
+  {
+    ByteWriter names;  // class-name count
+    names.PutU32(0);
+    names.PutU32(0);
+    names.PutU32(kHugeCount);
+    ExpectCountRejected(load("classes", names));
+  }
+}
+
+TEST(CorruptionTest, DatasetSchemaCountsAreBoundedBySection) {
+  auto write = [](const std::string& name, const ByteWriter& schema) {
+    ContainerWriter writer(ArtifactType::kDataset);
+    writer.AddSection(1, schema.bytes());
+    writer.AddArraySection<uint32_t>(2, std::vector<uint32_t>{0});
+    writer.AddArraySection<uint32_t>(16, std::vector<uint32_t>{0});
+    const std::string path = TempPath("huge_schema_" + name + ".dmtb");
+    DMT_CHECK(writer.WriteToFile(path).ok());
+    return path;
+  };
+  {
+    ByteWriter schema;  // class-name count
+    schema.PutU64(1);
+    schema.PutU32(0);
+    schema.PutU32(kHugeCount);
+    ExpectCountRejected(LoadDataset(write("classes", schema)));
+  }
+  {
+    ByteWriter schema;  // one categorical attribute's category count
+    schema.PutU64(1);
+    schema.PutU32(1);
+    schema.PutU32(1);
+    schema.PutString("yes");
+    schema.PutString("c");
+    schema.PutU8(1);
+    schema.PutU32(kHugeCount);
+    ExpectCountRejected(LoadDataset(write("categories", schema)));
+  }
+}
+
 TEST(CorruptionTest, KMeansAssignmentOutOfRangeIsRejected) {
   ByteWriter meta;
   meta.PutU64(2);  // k

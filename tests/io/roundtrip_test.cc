@@ -1,7 +1,8 @@
 // Round-trip battery for the binary container loaders (io/serialize.h):
 // every artifact type is generated from seeded synthetic data, written,
 // mapped, and loaded back bit-identically; mining a loaded database
-// reproduces the in-memory miner's output exactly.
+// reproduces the in-memory miner's output exactly; and the bytes the
+// writers produce for small hand-built objects are pinned by CRC32.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +16,16 @@
 #include "assoc/rules.h"
 #include "cluster/kmeans.h"
 #include "core/check.h"
+#include "core/crc32.h"
+#include "core/mmap_file.h"
 #include "gen/agrawal.h"
 #include "gen/mixture.h"
 #include "gen/quest.h"
 #include "io/serialize.h"
 #include "tree/builder.h"
+#include "tree/discretize.h"
+#include "tree/pruning.h"
+#include "tree/sliq.h"
 
 namespace dmt::io {
 namespace {
@@ -305,31 +311,55 @@ TEST(QuantRuleSetRoundtripTest, RejectsOutOfRangeItemIds) {
 }
 
 TEST(DecisionTreeRoundtripTest, LoadedTreePredictsIdentically) {
+  // Every kind of tree the library writes: both greedy presets, SLIQ,
+  // ID3 on binned data, and both pruners' output.
   const auto dataset = AgrawalWorkload(5);
-  auto built = tree::BuildC45(dataset);
-  ASSERT_TRUE(built.ok());
-  ASSERT_GT(built->num_nodes(), 1u);
+  auto binned = tree::EqualWidthDiscretize(dataset, 8);
+  ASSERT_TRUE(binned.ok());
+  struct Case {
+    std::string name;
+    core::Result<tree::DecisionTree> tree;
+    const core::Dataset* data;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"c45", tree::BuildC45(dataset), &dataset});
+  cases.push_back({"cart", tree::BuildCart(dataset), &dataset});
+  cases.push_back({"sliq", tree::BuildSliq(dataset), &dataset});
+  cases.push_back({"id3", tree::BuildId3(*binned), &*binned});
+  cases.push_back({"c45_pessimistic", tree::BuildC45(dataset), &dataset});
+  ASSERT_TRUE(cases.back().tree.ok());
+  ASSERT_TRUE(tree::PessimisticPrune(&*cases.back().tree).ok());
+  cases.push_back({"cart_cost_complexity", tree::BuildCart(dataset),
+                   &dataset});
+  ASSERT_TRUE(cases.back().tree.ok());
+  tree::CostComplexityPrune(&*cases.back().tree, 0.002);
 
-  const std::string path = TempPath("tree.dmtb");
-  ASSERT_TRUE(WriteDecisionTree(*built, path).ok());
-  auto loaded = LoadDecisionTree(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_nodes(), built->num_nodes());
-  for (size_t n = 0; n < built->num_nodes(); ++n) {
-    const auto& want = built->node(n);
-    const auto& got = loaded->node(n);
-    EXPECT_EQ(got.is_leaf, want.is_leaf);
-    EXPECT_EQ(got.kind, want.kind);
-    EXPECT_EQ(got.majority_class, want.majority_class);
-    EXPECT_EQ(got.attribute, want.attribute);
-    EXPECT_EQ(got.category, want.category);
-    EXPECT_EQ(std::memcmp(&got.threshold, &want.threshold, sizeof(double)),
-              0);
-    EXPECT_EQ(got.class_counts, want.class_counts);
-    EXPECT_EQ(got.children, want.children);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.tree.ok()) << c.tree.status().ToString();
+    const tree::DecisionTree& built = *c.tree;
+    ASSERT_GT(built.num_nodes(), 1u);
+    const std::string path = TempPath("tree_" + c.name + ".dmtb");
+    ASSERT_TRUE(WriteDecisionTree(built, path).ok());
+    auto loaded = LoadDecisionTree(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->num_nodes(), built.num_nodes());
+    for (size_t n = 0; n < built.num_nodes(); ++n) {
+      const auto& want = built.node(n);
+      const auto& got = loaded->node(n);
+      EXPECT_EQ(got.is_leaf, want.is_leaf);
+      EXPECT_EQ(got.kind, want.kind);
+      EXPECT_EQ(got.majority_class, want.majority_class);
+      EXPECT_EQ(got.attribute, want.attribute);
+      EXPECT_EQ(got.category, want.category);
+      EXPECT_EQ(std::memcmp(&got.threshold, &want.threshold, sizeof(double)),
+                0);
+      EXPECT_EQ(got.class_counts, want.class_counts);
+      EXPECT_EQ(got.children, want.children);
+    }
+    EXPECT_EQ(loaded->ToText(), built.ToText());
+    EXPECT_EQ(loaded->PredictAll(*c.data), built.PredictAll(*c.data));
   }
-  EXPECT_EQ(loaded->ToText(), built->ToText());
-  EXPECT_EQ(loaded->PredictAll(dataset), built->PredictAll(dataset));
 }
 
 TEST(KMeansRoundtripTest, LoadedModelIsBitIdentical) {
@@ -360,6 +390,135 @@ TEST(KMeansRoundtripTest, LoadedModelIsBitIdentical) {
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         want.size() * sizeof(double)),
             0);
+}
+
+/// CRC32 of a whole container file.
+uint32_t FileCrc(const std::string& path) {
+  auto bytes = core::ReadFileString(path);
+  DMT_CHECK(bytes.ok());
+  return core::Crc32(bytes->data(), bytes->size());
+}
+
+/// Writes `value` with `write`, checks the file's CRC32 against the pinned
+/// one, then loads it back with `load` and rewrites the loaded object,
+/// which must reproduce the same bytes.
+template <typename T, typename WriteFn, typename LoadFn>
+void ExpectPinnedBytes(const std::string& name, const T& value,
+                       uint32_t pinned_crc, WriteFn write, LoadFn load) {
+  SCOPED_TRACE(name);
+  const std::string path = TempPath("golden_" + name + ".dmtb");
+  ASSERT_TRUE(write(value, path).ok());
+  EXPECT_EQ(FileCrc(path), pinned_crc)
+      << std::hex << "0x" << FileCrc(path);
+  auto loaded = load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string rewritten = TempPath("golden_" + name + "_again.dmtb");
+  ASSERT_TRUE(write(*loaded, rewritten).ok());
+  EXPECT_EQ(FileCrc(rewritten), pinned_crc);
+}
+
+// The writers' exact bytes for small hand-built objects of every artifact
+// type (and the empty ones), so a writer change that keeps round trips
+// working but moves a byte — and breaks every file already on disk —
+// cannot slip through.
+TEST(GoldenBytesTest, WritersProducePinnedBytes) {
+  core::TransactionDatabase db;
+  db.Add(std::vector<core::ItemId>{1, 3, 5});
+  db.Add(std::vector<core::ItemId>{2});
+  db.Add(std::vector<core::ItemId>{});
+  db.Add(std::vector<core::ItemId>{3, 4});
+  ExpectPinnedBytes("txn", db, 0x413510f0u, WriteTransactionDatabase,
+                    LoadTransactionDatabase);
+  ExpectPinnedBytes("txn_empty", core::TransactionDatabase(), 0x581314c8u,
+                    WriteTransactionDatabase, LoadTransactionDatabase);
+
+  auto dataset = core::DatasetBuilder()
+                     .AddNumericColumn("x", {1.5, -2.0, 3.25})
+                     .AddCategoricalColumn("c", {0, 1, 1}, {"a", "b"})
+                     .SetLabels({0, 1, 0}, {"no", "yes"})
+                     .Build();
+  ASSERT_TRUE(dataset.ok());
+  ExpectPinnedBytes("dataset", *dataset, 0x6d5bd4b3u, WriteDataset,
+                    LoadDataset);
+
+  assoc::MiningResult mined;
+  mined.itemsets = {{{1}, 3}, {{3}, 2}, {{1, 3}, 2}};
+  mined.passes = {{1, 5, 2}, {2, 1, 1}};
+  mined.conditional_trees_built = 4;
+  mined.fp_nodes_allocated = 9;
+  mined.tidset_intersections = 2;
+  mined.partitions_mined = 1;
+  mined.bytes_mapped = 4096;
+  ExpectPinnedBytes("mining", mined, 0x61eeecf5u, WriteMiningResult,
+                    LoadMiningResult);
+  ExpectPinnedBytes("mining_empty", assoc::MiningResult(), 0x135aa688u,
+                    WriteMiningResult, LoadMiningResult);
+
+  assoc::AssociationRule rule;
+  rule.antecedent = {1};
+  rule.consequent = {3, 5};
+  rule.support_count = 2;
+  rule.support = 0.5;
+  rule.confidence = 2.0 / 3.0;
+  rule.lift = 1.25;
+  rule.conviction = 1.5;
+  rule.leverage = 0.0625;
+  const std::vector<assoc::AssociationRule> rules = {rule};
+  ExpectPinnedBytes("rules", rules, 0xcc4c558fu, WriteRuleSet, LoadRuleSet);
+  ExpectPinnedBytes("rules_empty", std::vector<assoc::AssociationRule>(),
+                    0xe765c650u, WriteRuleSet, LoadRuleSet);
+
+  assoc::QuantRuleSet quant;
+  assoc::QuantItem interval;
+  interval.attribute = 0;
+  interval.lo = 1.5;
+  interval.hi = 3.25;
+  interval.first_bin = 1;
+  interval.last_bin = 2;
+  interval.label = "x in [1.5, 3.25]";
+  assoc::QuantItem category;
+  category.attribute = 1;
+  category.is_categorical = true;
+  category.category = 1;
+  category.label = "c = b";
+  quant.items = {interval, category};
+  assoc::AssociationRule quant_rule = rule;
+  quant_rule.consequent = {0};
+  quant.rules = {quant_rule};
+  quant.partial_completeness = 1.5;
+  quant.itemsets_mined = 3;
+  quant.itemsets_attribute_distinct = 2;
+  ExpectPinnedBytes("quant_rules", quant, 0x8310cec6u, WriteQuantRuleSet,
+                    LoadQuantRuleSet);
+
+  // A stump: x <= -0.25 sends row 1 left, rows 0 and 2 right.
+  tree::DecisionTree stump;
+  auto& nodes = tree::internal::TreeAccess::Nodes(stump);
+  nodes.resize(3);
+  nodes[0].is_leaf = false;
+  nodes[0].kind = tree::SplitKind::kNumericThreshold;
+  nodes[0].threshold = -0.25;
+  nodes[0].class_counts = {2, 1};
+  nodes[0].children = {1, 2};
+  nodes[1].majority_class = 1;
+  nodes[1].class_counts = {0, 1};
+  nodes[2].class_counts = {2, 0};
+  tree::internal::TreeAccess::AttributeNames(stump) = {"x", "c"};
+  tree::internal::TreeAccess::AttributeCategories(stump) = {{}, {"a", "b"}};
+  tree::internal::TreeAccess::ClassNames(stump) = {"no", "yes"};
+  ExpectPinnedBytes("tree", stump, 0x94a66e0bu, WriteDecisionTree,
+                    LoadDecisionTree);
+
+  cluster::ClusteringResult model;
+  auto centers = core::PointSet::FromFlat(2, {0.0, 1.0, 4.5, -3.0});
+  ASSERT_TRUE(centers.ok());
+  model.centers = *centers;
+  model.assignments = {0, 1, 1};
+  model.sse = 12.5;
+  model.iterations = 3;
+  model.distance_computations = 18;
+  ExpectPinnedBytes("kmeans", model, 0x9680119eu, WriteKMeansModel,
+                    LoadKMeansModel);
 }
 
 }  // namespace

@@ -426,6 +426,41 @@ TEST_F(ServeServerTest, AbsentArtifactIsFailedPreconditionNotCrash) {
   EXPECT_EQ(ok.value().recommendations.size(), 1u);
 }
 
+TEST_F(ServeServerTest, TreeSplitOnWrongAttributeTypeRejectsBundle) {
+  // The bundled CART tree splits its root on a numeric attribute. Serve
+  // it next to a training set with the same attribute names, all
+  // categorical: the threshold would read a numeric column the request
+  // dataset does not have.
+  const tree::TreeNode& root = bundle()->tree().root();
+  ASSERT_FALSE(root.is_leaf);
+  ASSERT_EQ(root.kind, tree::SplitKind::kNumericThreshold);
+  const core::Dataset& train = bundle()->train();
+  core::DatasetBuilder builder;
+  for (size_t a = 0; a < train.num_attributes(); ++a) {
+    builder.AddCategoricalColumn(train.attribute(a).name,
+                                 std::vector<uint32_t>(train.num_rows(), 0),
+                                 {"only"});
+  }
+  builder.SetLabels(
+      std::vector<uint32_t>(train.labels().begin(), train.labels().end()),
+      train.class_names());
+  auto categorical = builder.Build();
+  ASSERT_TRUE(categorical.ok()) << categorical.status().ToString();
+
+  auto mismatched = ModelBundle::FromParts(
+      bundle()->tree(), std::move(categorical).value(), std::nullopt,
+      std::nullopt);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), core::StatusCode::kInvalidArgument);
+  const std::string& message = mismatched.status().message();
+  EXPECT_NE(message.find("node 0 "), std::string::npos) << message;
+  EXPECT_NE(message.find("'" + train.attribute(root.attribute).name + "'"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("numeric"), std::string::npos) << message;
+  EXPECT_NE(message.find("categorical"), std::string::npos) << message;
+}
+
 TEST_F(ServeServerTest, HandleFramesPreservesOrderAroundFailures) {
   Server server(bundle(), ServeOptions{});
   std::vector<std::vector<std::byte>> frames;

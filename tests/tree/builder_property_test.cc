@@ -8,6 +8,7 @@
 #include "eval/cross_validation.h"
 #include "eval/metrics.h"
 #include "gen/agrawal.h"
+#include "split_oracle.h"
 #include "tree/builder.h"
 #include "tree/discretize.h"
 #include "tree/sliq.h"
@@ -22,11 +23,12 @@ enum class Builder {
   kCart,
   kSliq,
   kId3Binned,
-  /// Ablation/diff variants of the greedy engine: the naive re-sorting
-  /// split search and the threaded presorted search must satisfy every
-  /// property the defaults do (and grow the very same trees — pinned
-  /// node-for-node by parallel_diff_test).
-  kC45Naive,
+  /// Reference and diff variants of the greedy builder: C4.5 grown
+  /// naively by the brute-force split oracle (split_oracle.h) and the
+  /// threaded presorted search must satisfy every property the defaults
+  /// do (and grow the very same trees — pinned node-for-node by
+  /// parallel_diff_test).
+  kC45Oracle,
   kCartThreaded,
 };
 
@@ -40,7 +42,7 @@ std::string BuilderName(Builder builder) {
       return "Sliq";
     case Builder::kId3Binned:
       return "Id3Binned";
-    case Builder::kC45Naive:
+    case Builder::kC45Oracle:
       return "C45Naive";
     case Builder::kCartThreaded:
       return "CartThreaded";
@@ -87,10 +89,11 @@ core::Result<Fitted> Fit(Builder builder, int function, uint64_t seed) {
       DMT_ASSIGN_OR_RETURN(out.tree, BuildId3(out.train));
       return out;
     }
-    case Builder::kC45Naive: {
+    case Builder::kC45Oracle: {
       TreeOptions options;
-      options.split_search = SplitSearch::kNaive;
-      DMT_ASSIGN_OR_RETURN(out.tree, BuildC45(out.train, options));
+      options.criterion = SplitCriterion::kGainRatio;
+      options.categorical_style = CategoricalSplitStyle::kMultiway;
+      out.tree = oracle::Grow(out.train, options);
       return out;
     }
     case Builder::kCartThreaded: {
@@ -163,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TreePropertyTest,
     testing::Combine(testing::Values(Builder::kC45, Builder::kCart,
                                      Builder::kSliq, Builder::kId3Binned,
-                                     Builder::kC45Naive,
+                                     Builder::kC45Oracle,
                                      Builder::kCartThreaded),
                      testing::Range(1, 11)),
     [](const testing::TestParamInfo<PropertyParam>& param_info) {

@@ -1,9 +1,9 @@
 // Differential suite for the tree builders' determinism contract (the
 // tree-pillar analogue of the assoc/cluster/seq parallel_diff tests): the
-// presorted and naive split-search engines grow bit-identical trees, any
-// thread count reproduces the serial tree node for node — structure,
-// thresholds, leaf histograms — and the split-scan work counters are
-// invariant across engines and thread counts.
+// presorted builder grows the brute-force split oracle's tree
+// (split_oracle.h), any thread count reproduces the serial tree node for
+// node — structure, thresholds, leaf histograms — and the split-scan work
+// counters match the oracle's and are invariant across thread counts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,6 +11,7 @@
 #include "core/dataset.h"
 #include "gen/agrawal.h"
 #include "obs/metrics.h"
+#include "split_oracle.h"
 #include "tree/builder.h"
 #include "tree/sliq.h"
 
@@ -88,43 +89,52 @@ Built BuildGreedy(const Dataset& data, TreeOptions options) {
   return out;
 }
 
+Built GrowOracle(const Dataset& data, const TreeOptions& options) {
+  Built out;
+  out.tree = oracle::Grow(data, options, &out.stats.split_scan_rows);
+  return out;
+}
+
+// The naive reference is the brute-force oracle: every node re-sorts its
+// rows and scores every boundary with SplitScore, where the presorted
+// builder partitions sorted orders and sweeps with its own scorer.
 TEST(TreeParallelDiffTest, NaiveMatchesPresortedAcrossCriteria) {
-  Dataset data = MakeAgrawal(2, 3000);
-  for (SplitCriterion criterion :
-       {SplitCriterion::kGini, SplitCriterion::kInformationGain,
-        SplitCriterion::kGainRatio}) {
-    for (CategoricalSplitStyle style : {CategoricalSplitStyle::kMultiway,
-                                        CategoricalSplitStyle::kBinary}) {
-      TreeOptions options;
-      options.criterion = criterion;
-      options.categorical_style = style;
-      options.split_search = SplitSearch::kNaive;
-      Built naive = BuildGreedy(data, options);
-      options.split_search = SplitSearch::kPresorted;
-      Built presorted = BuildGreedy(data, options);
-      ExpectSameTree(naive.tree, presorted.tree);
-      EXPECT_EQ(naive.stats.split_scan_rows, presorted.stats.split_scan_rows);
-      EXPECT_GT(naive.stats.split_scan_rows, 0u);
+  for (int function : {1, 2, 5, 7}) {
+    Dataset data = MakeAgrawal(function, 3000);
+    for (SplitCriterion criterion :
+         {SplitCriterion::kGini, SplitCriterion::kInformationGain,
+          SplitCriterion::kGainRatio}) {
+      for (CategoricalSplitStyle style : {CategoricalSplitStyle::kMultiway,
+                                          CategoricalSplitStyle::kBinary}) {
+        SCOPED_TRACE(testing::Message()
+                     << "F" << function << " criterion "
+                     << static_cast<int>(criterion) << " style "
+                     << static_cast<int>(style));
+        TreeOptions options;
+        options.criterion = criterion;
+        options.categorical_style = style;
+        Built naive = GrowOracle(data, options);
+        Built presorted = BuildGreedy(data, options);
+        ExpectSameTree(naive.tree, presorted.tree);
+        EXPECT_EQ(naive.stats.split_scan_rows,
+                  presorted.stats.split_scan_rows);
+        EXPECT_GT(naive.stats.split_scan_rows, 0u);
+      }
     }
   }
 }
 
 TEST(TreeParallelDiffTest, ThreadedGreedyMatchesSerial) {
   Dataset data = MakeAgrawal(5, 3000);
-  for (SplitSearch engine : {SplitSearch::kNaive, SplitSearch::kPresorted}) {
-    TreeOptions options;
-    options.criterion = SplitCriterion::kGini;
-    options.categorical_style = CategoricalSplitStyle::kBinary;
-    options.split_search = engine;
-    options.num_threads = 0;
-    Built serial = BuildGreedy(data, options);
-    for (size_t threads : {2u, 4u}) {
-      options.num_threads = threads;
-      Built threaded = BuildGreedy(data, options);
-      ExpectSameTree(serial.tree, threaded.tree);
-      EXPECT_EQ(serial.stats.split_scan_rows,
-                threaded.stats.split_scan_rows);
-    }
+  TreeOptions options;
+  options.criterion = SplitCriterion::kGini;
+  options.categorical_style = CategoricalSplitStyle::kBinary;
+  Built serial = BuildGreedy(data, options);
+  for (size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    Built threaded = BuildGreedy(data, options);
+    ExpectSameTree(serial.tree, threaded.tree);
+    EXPECT_EQ(serial.stats.split_scan_rows, threaded.stats.split_scan_rows);
   }
 }
 
@@ -143,26 +153,29 @@ TEST(TreeParallelDiffTest, ThreadedC45MatchesSerial) {
 // Regression for the seed's nondeterministic numeric scan: equal attribute
 // values used to be ordered arbitrarily by the unstable per-node sort, so
 // tie-heavy data could grow different (run-to-run or engine-to-engine)
-// trees. The (value, row id) total order pins them down.
+// trees. The (value, row id) total order pins them down, and on tie-heavy
+// data the first of equally good boundaries decides the tree.
 TEST(TreeParallelDiffTest, DuplicatedValuesGrowIdenticalTrees) {
   Dataset data = MakeTieHeavy(1200);
   for (SplitCriterion criterion :
        {SplitCriterion::kGini, SplitCriterion::kGainRatio}) {
-    TreeOptions options;
-    options.criterion = criterion;
-    options.categorical_style = CategoricalSplitStyle::kBinary;
-    options.split_search = SplitSearch::kNaive;
-    Built naive = BuildGreedy(data, options);
-    Built naive_again = BuildGreedy(data, options);
-    options.split_search = SplitSearch::kPresorted;
-    Built presorted = BuildGreedy(data, options);
-    options.num_threads = 4;
-    Built threaded = BuildGreedy(data, options);
-    ExpectSameTree(naive.tree, naive_again.tree);
-    ExpectSameTree(naive.tree, presorted.tree);
-    ExpectSameTree(naive.tree, threaded.tree);
-    EXPECT_EQ(naive.stats.split_scan_rows, presorted.stats.split_scan_rows);
-    EXPECT_EQ(naive.stats.split_scan_rows, threaded.stats.split_scan_rows);
+    for (CategoricalSplitStyle style : {CategoricalSplitStyle::kMultiway,
+                                        CategoricalSplitStyle::kBinary}) {
+      TreeOptions options;
+      options.criterion = criterion;
+      options.categorical_style = style;
+      Built naive = GrowOracle(data, options);
+      Built presorted = BuildGreedy(data, options);
+      Built presorted_again = BuildGreedy(data, options);
+      options.num_threads = 4;
+      Built threaded = BuildGreedy(data, options);
+      ExpectSameTree(naive.tree, presorted.tree);
+      ExpectSameTree(presorted.tree, presorted_again.tree);
+      ExpectSameTree(presorted.tree, threaded.tree);
+      EXPECT_EQ(naive.stats.split_scan_rows,
+                presorted.stats.split_scan_rows);
+      EXPECT_EQ(naive.stats.split_scan_rows, threaded.stats.split_scan_rows);
+    }
   }
 }
 

@@ -6,8 +6,8 @@
 # differential tests for every parallelized miner (plus the out-of-core
 # differential and container-corruption tests, and the concurrent-runs
 # test), then an AddressSanitizer + UndefinedBehaviorSanitizer build that
-# re-runs the io corruption battery and the association miner and rule
-# tests, then a bench smoke
+# re-runs the io corruption battery, the association miner and rule
+# tests, and the tree and cluster differential tests, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -16,8 +16,8 @@
 # diffing the smoke records against the checked-in bench/baselines
 # (deterministic work counters must match exactly), and a serving smoke
 # that drives dmtd end to end — including a client that hangs up unread,
-# bad numeric flags, the --metrics-path Prometheus dump and the
-# --slow-query-us structured log.
+# bad numeric flags, a cyclic tree container, the --metrics-path
+# Prometheus dump and the --slow-query-us structured log.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -119,6 +119,8 @@ ASAN_TARGETS=(
   assoc_parallel_diff_test
   assoc_out_of_core_diff_test
   assoc_rules_test
+  tree_parallel_diff_test
+  cluster_parallel_diff_test
 )
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TARGETS[@]}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
@@ -146,6 +148,10 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-asan/tests/assoc/assoc_parallel_diff_test"
 "$ROOT/build-asan/tests/assoc/assoc_out_of_core_diff_test"
 "$ROOT/build-asan/tests/assoc/assoc_rules_test"
+# The tree builder's hand-indexed presort partitions against the
+# brute-force split oracle, and k-means' Hamerly bound arrays.
+"$ROOT/build-asan/tests/tree/tree_parallel_diff_test"
+"$ROOT/build-asan/tests/cluster/cluster_parallel_diff_test"
 
 echo
 echo "== tier 3: bench smoke (tiny configs, --json must parse) =="
@@ -409,6 +415,61 @@ for bad in "--threads -1" "--threads +4" "--cache -5" \
   fi
 done
 echo "  bad numeric flags: usage error ok"
+
+# Tree shape rules: a CRC-valid tree container whose nodes 0 and 1 are
+# each other's only child must fail to load (exit 1, Corruption), not
+# loop forever on the first tree query.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SMOKE_DIR/cyclic_tree.dmt" <<'PY'
+import struct, sys, zlib
+def string(s):
+    return struct.pack("<I", len(s)) + s.encode()
+def multiway_node(children):
+    # Multiway split (kind 0) on attribute 0, class histogram {1, 1}.
+    return (struct.pack("<BBIIId", 0, 0, 0, 0, 0, 0.0) +
+            struct.pack("<QII", 2, 1, 1) +
+            struct.pack("<Q", len(children)) +
+            b"".join(struct.pack("<I", c) for c in children))
+sections = [
+    (1, struct.pack("<Q", 2)),                                # META
+    (2, multiway_node([1]) + multiway_node([0])),             # NODES
+    (3, struct.pack("<I", 1) + string("c") +                  # NAMES
+        struct.pack("<II", 1, 1) + string("a") +
+        struct.pack("<I", 2) + string("no") + string("yes")),
+]
+# Container layout (io/container.h): 32-byte header, 32-byte section
+# entries, 8-byte aligned payloads; zlib.crc32 is core::Crc32.
+cursor = 32 + 32 * len(sections)
+entries, body = b"", b""
+for sid, payload in sections:
+    entries += struct.pack("<IIQQII", sid, 0, cursor, len(payload),
+                           zlib.crc32(payload), 0)
+    padded = payload + b"\0" * (-len(payload) % 8)
+    body += padded
+    cursor += len(padded)
+header = b"DMTBIN01" + struct.pack("<IIIIQ", 1, 5, len(sections), 0, cursor)
+crc = zlib.crc32(entries, zlib.crc32(header))
+header = header[:20] + struct.pack("<I", crc) + header[24:]
+open(sys.argv[1], "wb").write(header + entries + body)
+PY
+  printf 'classify tree 0\n' > "$SMOKE_DIR/cyclic_query.txt"
+  set +e
+  timeout 10 "$DMTD" --tree "$SMOKE_DIR/cyclic_tree.dmt" \
+    --script "$SMOKE_DIR/cyclic_query.txt" >/dev/null \
+    2>"$SMOKE_DIR/cyclic_err.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] ||
+     ! grep -q 'Corruption' "$SMOKE_DIR/cyclic_err.txt"; then
+    echo "  dmtd --tree <cyclic tree> exited $status, expected 1 with" \
+      "Corruption on stderr"
+    cat "$SMOKE_DIR/cyclic_err.txt"
+    exit 1
+  fi
+  echo "  cyclic tree container: rejected at load"
+else
+  echo "  cyclic tree container: skipped (python3 unavailable)"
+fi
 
 # bench_serving at one tiny configuration; the EXT-10 columns must land
 # in the JSON record.
