@@ -1,12 +1,12 @@
-// TAB-A4 (VLDB'94-style itemset census) plus ablation 1 (hash-tree vs
-// flat subset-lookup counting in Apriori).
+// TAB-A4 (VLDB'94-style itemset census) plus Apriori's hash-tree counting
+// time.
 //
 // Prints the per-pass candidate/frequent table on T10.I4.D10K at 0.5%
 // support — expected shape: candidates peak at pass 2, the downward-
 // closure prune collapses later passes, and the census is identical for
 // Apriori and FP-Growth (same frequent collection). The timed section
-// contrasts the two counting strategies; the hash tree should win, and
-// the gap should widen on the long-transaction workload.
+// runs Apriori, whose passes count through the hash tree, on short-,
+// medium- and long-transaction workloads.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -46,12 +46,8 @@ void PrintCensus() {
               apriori->itemsets.size());
 }
 
-// The counting ablation runs at 1% support on the short- and medium-
-// transaction workloads: subset lookup enumerates C(|t|, k) subsets per
-// transaction, which is already painful at |t| = 10 and outright
-// intractable on T20 at low support — that cliff is the point of the
-// hash tree.
-dmt::assoc::MiningParams AblationParams() {
+// The counting cells run at 1% support on T5, T10 and T15.
+dmt::assoc::MiningParams CountingParams() {
   dmt::assoc::MiningParams params;
   params.min_support = 0.01;
   return params;
@@ -60,35 +56,14 @@ dmt::assoc::MiningParams AblationParams() {
 void BM_AprioriHashTree(benchmark::State& state) {
   const auto& db =
       QuestWorkload(static_cast<double>(state.range(0)), 4, 10000);
-  dmt::assoc::AprioriOptions options;
-  options.counting = dmt::assoc::AprioriOptions::CountingMethod::kHashTree;
   for (auto _ : state) {
-    auto result = dmt::assoc::MineApriori(db, AblationParams(), options);
-    DMT_CHECK(result.ok());
-    benchmark::DoNotOptimize(result);
-  }
-}
-
-void BM_AprioriSubsetLookup(benchmark::State& state) {
-  const auto& db =
-      QuestWorkload(static_cast<double>(state.range(0)), 4, 10000);
-  dmt::assoc::AprioriOptions options;
-  options.counting =
-      dmt::assoc::AprioriOptions::CountingMethod::kSubsetLookup;
-  for (auto _ : state) {
-    auto result = dmt::assoc::MineApriori(db, AblationParams(), options);
+    auto result = dmt::assoc::MineApriori(db, CountingParams());
     DMT_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
 }
 
 BENCHMARK(BM_AprioriHashTree)
-    ->Arg(5)
-    ->Arg(10)
-    ->Arg(15)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_AprioriSubsetLookup)
     ->Arg(5)
     ->Arg(10)
     ->Arg(15)

@@ -44,27 +44,14 @@ int main(int argc, char** argv) {
         const dmt::core::TransactionDatabase&,
         const dmt::assoc::MiningParams&);
   };
-  auto run_apriori = [](const dmt::core::TransactionDatabase& database,
-                        const dmt::assoc::MiningParams& mining_params) {
-    return dmt::assoc::MineApriori(database, mining_params);
-  };
-  auto run_tid = [](const dmt::core::TransactionDatabase& database,
-                    const dmt::assoc::MiningParams& mining_params) {
-    return dmt::assoc::MineAprioriTid(database, mining_params);
-  };
-  auto run_fp = [](const dmt::core::TransactionDatabase& database,
-                   const dmt::assoc::MiningParams& mining_params) {
-    return dmt::assoc::MineFpGrowth(database, mining_params,
-                                    dmt::assoc::FpGrowthOptions{});
-  };
   auto run_eclat = [](const dmt::core::TransactionDatabase& database,
                       const dmt::assoc::MiningParams& mining_params) {
     return dmt::assoc::MineEclat(database, mining_params,
                                  dmt::assoc::EclatOptions{});
   };
-  const Entry miners[] = {{"Apriori", run_apriori},
-                          {"AprioriTid", run_tid},
-                          {"FP-Growth", run_fp},
+  const Entry miners[] = {{"Apriori", dmt::assoc::MineApriori},
+                          {"AprioriTid", dmt::assoc::MineAprioriTid},
+                          {"FP-Growth", dmt::assoc::MineFpGrowth},
                           {"Eclat", run_eclat}};
 
   dmt::assoc::MiningResult reference;

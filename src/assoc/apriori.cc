@@ -13,18 +13,7 @@
 namespace dmt::assoc {
 
 using core::Result;
-using core::Status;
 using core::TransactionDatabase;
-
-Status AprioriOptions::Validate() const {
-  if (hash_tree_fanout < 2) {
-    return Status::InvalidArgument("hash_tree_fanout must be >= 2");
-  }
-  if (hash_tree_leaf_size < 1) {
-    return Status::InvalidArgument("hash_tree_leaf_size must be >= 1");
-  }
-  return Status::OK();
-}
 
 namespace {
 
@@ -51,65 +40,39 @@ std::vector<Itemset> ItemsetsOf(const std::vector<FrequentItemset>& layer) {
   return out;
 }
 
-/// Enumerates the k-subsets of `transaction` and probes `index`, adding hits
-/// to `counts` (the kSubsetLookup ablation baseline).
-void CountBySubsetLookup(
-    std::span<const core::ItemId> transaction, size_t k,
-    const std::unordered_map<Itemset, uint32_t, ItemsetHash>& index,
-    std::span<uint32_t> counts) {
-  if (transaction.size() < k) return;
-  Itemset subset;
-  subset.reserve(k);
-  // Iterative combination enumeration over positions.
-  std::vector<size_t> positions(k);
-  for (size_t i = 0; i < k; ++i) positions[i] = i;
-  for (;;) {
-    subset.clear();
-    for (size_t pos : positions) subset.push_back(transaction[pos]);
-    auto it = index.find(subset);
-    if (it != index.end()) ++counts[it->second];
-    // Advance to the next combination.
-    size_t level = k;
-    while (level > 0) {
-      --level;
-      if (positions[level] + (k - level) < transaction.size()) {
-        ++positions[level];
-        for (size_t next = level + 1; next < k; ++next) {
-          positions[next] = positions[next - 1] + 1;
-        }
-        break;
-      }
-      if (level == 0) return;
-    }
+/// Publishes a run's pass census, summed over its passes, to the
+/// family's counters once, and records each total on the run's span.
+void PublishPassTotals(const std::vector<PassStats>& census, obs::Span& span,
+                       obs::Counter candidates, obs::Counter frequent,
+                       obs::Counter passes) {
+  uint64_t num_candidates = 0;
+  uint64_t num_frequent = 0;
+  for (const PassStats& stats : census) {
+    num_candidates += stats.candidates;
+    num_frequent += stats.frequent;
   }
+  candidates.Add(num_candidates);
+  frequent.Add(num_frequent);
+  passes.Add(census.size());
+  span.AddArg(candidates.name(), num_candidates);
+  span.AddArg(frequent.name(), num_frequent);
+  span.AddArg(passes.name(), census.size());
 }
 
 }  // namespace
 
 Result<MiningResult> MineApriori(const TransactionDatabase& db,
-                                 const MiningParams& params,
-                                 const AprioriOptions& options) {
+                                 const MiningParams& params) {
   DMT_RETURN_NOT_OK(params.Validate());
-  DMT_RETURN_NOT_OK(options.Validate());
-  const uint32_t min_count = AbsoluteMinSupport(db, params.min_support);
+  const uint32_t min_count = AbsoluteMinSupport(db.size(), params.min_support);
   const core::ParallelContext ctx(params.num_threads);
-
-  obs::Counter candidates_counter("assoc/apriori/candidates");
-  obs::Counter frequent_counter("assoc/apriori/frequent");
-  obs::Counter passes_counter("assoc/apriori/passes");
   obs::Span mine_span("assoc/apriori/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   MiningResult result;
   size_t num_singles = 0;
   std::vector<FrequentItemset> layer =
       FrequentSingles(db, min_count, &num_singles);
   result.passes.push_back({1, num_singles, layer.size()});
-  candidates_counter.Add(num_singles);
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.itemsets = layer;
 
   for (size_t k = 2; !layer.empty(); ++k) {
@@ -119,29 +82,12 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
     CandidateGenResult gen = GenerateCandidates(ItemsetsOf(layer));
     if (gen.candidates.empty()) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     std::vector<uint32_t> counts(gen.candidates.size(), 0);
-    if (options.counting == AprioriOptions::CountingMethod::kHashTree) {
+    {
       obs::Span count_span("assoc/apriori/pass/count");
-      HashTree tree(gen.candidates, k, options.hash_tree_fanout,
-                    options.hash_tree_leaf_size);
-      tree.CountDatabase(db, counts, ctx);
-    } else {
-      obs::Span count_span("assoc/apriori/pass/count");
-      std::unordered_map<Itemset, uint32_t, ItemsetHash> index;
-      index.reserve(gen.candidates.size());
-      for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
-        index.emplace(gen.candidates[c], c);
-      }
-      core::CountPartitioned(
-          ctx, db.size(), counts,
-          [&](size_t begin, size_t end, std::span<uint32_t> local) {
-            for (size_t t = begin; t < end; ++t) {
-              CountBySubsetLookup(db.transaction(t), k, index, local);
-            }
-          });
+      SupportCounter(gen.candidates).Count(db, ctx, counts);
     }
     std::vector<FrequentItemset> next_layer;
     for (uint32_t c = 0; c < gen.candidates.size(); ++c) {
@@ -150,13 +96,14 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
       }
     }
     result.passes.push_back({k, gen.candidates.size(), next_layer.size()});
-    candidates_counter.Add(gen.candidates.size());
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.itemsets.insert(result.itemsets.end(), next_layer.begin(),
                            next_layer.end());
     layer = std::move(next_layer);
   }
+  PublishPassTotals(result.passes, mine_span,
+                    obs::Counter("assoc/apriori/candidates"),
+                    obs::Counter("assoc/apriori/frequent"),
+                    obs::Counter("assoc/apriori/passes"));
   SortCanonical(&result.itemsets);
   return result;
 }
@@ -164,25 +111,15 @@ Result<MiningResult> MineApriori(const TransactionDatabase& db,
 Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
                                     const MiningParams& params) {
   DMT_RETURN_NOT_OK(params.Validate());
-  const uint32_t min_count = AbsoluteMinSupport(db, params.min_support);
+  const uint32_t min_count = AbsoluteMinSupport(db.size(), params.min_support);
   const core::ParallelContext ctx(params.num_threads);
-
-  obs::Counter candidates_counter("assoc/apriori_tid/candidates");
-  obs::Counter frequent_counter("assoc/apriori_tid/frequent");
-  obs::Counter passes_counter("assoc/apriori_tid/passes");
   obs::Span mine_span("assoc/apriori_tid/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   MiningResult result;
   size_t num_singles = 0;
   std::vector<FrequentItemset> layer =
       FrequentSingles(db, min_count, &num_singles);
   result.passes.push_back({1, num_singles, layer.size()});
-  candidates_counter.Add(num_singles);
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.itemsets = layer;
 
   // Per-transaction lists of *frequent* (k-1)-itemset indices. For k=2 the
@@ -211,7 +148,6 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
         GenerateCandidates(ItemsetsOf(layer), /*record_parents=*/true);
     if (gen.candidates.empty()) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     // Group candidates by their first parent for set-oriented counting.
@@ -257,9 +193,6 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
       }
     }
     result.passes.push_back({k, gen.candidates.size(), next_layer.size()});
-    candidates_counter.Add(gen.candidates.size());
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.itemsets.insert(result.itemsets.end(), next_layer.begin(),
                            next_layer.end());
 
@@ -275,6 +208,10 @@ Result<MiningResult> MineAprioriTid(const TransactionDatabase& db,
     }
     layer = std::move(next_layer);
   }
+  PublishPassTotals(result.passes, mine_span,
+                    obs::Counter("assoc/apriori_tid/candidates"),
+                    obs::Counter("assoc/apriori_tid/frequent"),
+                    obs::Counter("assoc/apriori_tid/passes"));
   SortCanonical(&result.itemsets);
   return result;
 }

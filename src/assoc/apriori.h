@@ -9,32 +9,10 @@
 
 namespace dmt::assoc {
 
-/// Tuning knobs for Apriori.
-struct AprioriOptions {
-  /// How candidate supports are counted each pass.
-  enum class CountingMethod {
-    /// Hash tree over candidates; each transaction walks only reachable
-    /// branches (the paper's method).
-    kHashTree,
-    /// Enumerate every k-subset of each transaction and probe a hash map of
-    /// candidates (AIS-style baseline; explodes for long transactions —
-    /// kept for the ablation benchmark).
-    kSubsetLookup,
-  };
-  CountingMethod counting = CountingMethod::kHashTree;
-  /// Hash width of interior nodes. Wide tables keep the depth-k leaves
-  /// small when many candidates share hash paths (pass 2 has |L1|^2/2
-  /// candidates but only k = 2 routing items).
-  size_t hash_tree_fanout = 128;
-  size_t hash_tree_leaf_size = 16;
-
-  core::Status Validate() const;
-};
-
 /// Mines all frequent itemsets with level-wise candidate generation.
+/// Each pass counts its candidates with a SupportCounter (one hash tree).
 core::Result<MiningResult> MineApriori(const core::TransactionDatabase& db,
-                                       const MiningParams& params,
-                                       const AprioriOptions& options = {});
+                                       const MiningParams& params);
 
 /// AprioriTid: identical candidate generation, but after pass 1 supports are
 /// counted against per-transaction candidate-id lists instead of the raw

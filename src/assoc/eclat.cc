@@ -98,12 +98,11 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
                                const MiningParams& params,
                                const EclatOptions& options) {
   DMT_RETURN_NOT_OK(params.Validate());
-  const uint32_t min_count = AbsoluteMinSupport(db, params.min_support);
+  const uint32_t min_count = AbsoluteMinSupport(db.size(), params.min_support);
   const core::ParallelContext ctx(params.num_threads);
 
   obs::Counter intersections_counter("assoc/eclat/tidset_intersections");
   obs::Span mine_span("assoc/eclat/mine");
-  mine_span.AttachCounter(intersections_counter);
 
   MiningResult result;
   result.passes.push_back({1, db.item_universe(), 0});
@@ -175,9 +174,11 @@ Result<MiningResult> MineEclat(const TransactionDatabase& db,
     result.passes[d].pass = d + 1;
   }
   result.passes[0].candidates = db.item_universe();
-  // The result owns the merged tally; publish it once, while the mine
-  // span that attaches the counter is still open.
+  // The result owns the merged tally; publish it once, and record it on
+  // the mine span while it is open.
   intersections_counter.Add(result.tidset_intersections);
+  mine_span.AddArg(intersections_counter.name(),
+                   result.tidset_intersections);
   SortCanonical(&result.itemsets);
   return result;
 }

@@ -112,12 +112,8 @@ struct FpTree {
 
 class FpMiner {
  public:
-  FpMiner(uint32_t min_count, size_t max_size, bool single_path_opt,
-          MiningResult* result)
-      : min_count_(min_count),
-        max_size_(max_size),
-        single_path_opt_(single_path_opt),
-        result_(result) {}
+  FpMiner(uint32_t min_count, size_t max_size, MiningResult* result)
+      : min_count_(min_count), max_size_(max_size), result_(result) {}
 
   /// Mines every header entry of `tree` with the given suffix, from least
   /// to most frequent (bottom-up). `depth` picks the scratch tree the
@@ -148,7 +144,7 @@ class FpMiner {
     if (conditionals_.size() <= depth) conditionals_.emplace_back();
     FpTree& conditional = conditionals_[depth];
     if (!BuildConditionalTree(tree, entry, &conditional)) return;
-    if (single_path_opt_ && conditional.IsSinglePath()) {
+    if (conditional.IsSinglePath()) {
       EmitSinglePathCombinations(conditional, pattern, depth + 1);
     } else {
       Mine(conditional, pattern, depth + 1);
@@ -297,7 +293,6 @@ class FpMiner {
 
   uint32_t min_count_;
   size_t max_size_;
-  bool single_path_opt_;
   MiningResult* result_;
   // Scratch reused across BuildConditionalTree calls (each call completes
   // before its tree is recursed into).
@@ -311,17 +306,14 @@ class FpMiner {
 }  // namespace
 
 Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
-                                  const MiningParams& params,
-                                  const FpGrowthOptions& options) {
+                                  const MiningParams& params) {
   DMT_RETURN_NOT_OK(params.Validate());
-  const uint32_t min_count = AbsoluteMinSupport(db, params.min_support);
+  const uint32_t min_count = AbsoluteMinSupport(db.size(), params.min_support);
   const core::ParallelContext ctx(params.num_threads);
 
   obs::Counter trees_counter("assoc/fp_growth/conditional_trees_built");
   obs::Counter nodes_counter("assoc/fp_growth/fp_nodes_allocated");
   obs::Span mine_span("assoc/fp_growth/mine");
-  mine_span.AttachCounter(trees_counter);
-  mine_span.AttachCounter(nodes_counter);
 
   MiningResult result;
   FpTree root;
@@ -332,11 +324,10 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
   result.fp_nodes_allocated += root.nodes.size() - 1;
   if (!root.header.empty()) {
     obs::Span grow_span("assoc/fp_growth/grow");
-    if (options.single_path_optimization && root.IsSinglePath()) {
+    if (root.IsSinglePath()) {
       // Degenerate database: the whole tree is one chain, so every
       // frequent itemset is a combination of the chain's items.
-      FpMiner miner(min_count, params.max_itemset_size,
-                    options.single_path_optimization, &result);
+      FpMiner miner(min_count, params.max_itemset_size, &result);
       miner.EmitSinglePathCombinations(root, {}, 0);
     } else {
       // Top-level projection decomposition: each header entry's
@@ -347,18 +338,19 @@ Result<MiningResult> MineFpGrowth(const TransactionDatabase& db,
       MinePartitioned(
           ctx, n, &result,
           [&](size_t begin, size_t end, MiningResult* out) {
-            FpMiner miner(min_count, params.max_itemset_size,
-                          options.single_path_optimization, out);
+            FpMiner miner(min_count, params.max_itemset_size, out);
             for (size_t i = begin; i < end; ++i) {
               miner.MineEntry(root, n - 1 - i, {}, 0);
             }
           });
     }
   }
-  // The result owns the merged tallies; publish them once, while the
-  // mine span that attaches both counters is still open.
+  // The result owns the merged tallies; publish them once, and record
+  // them on the mine span while it is open.
   trees_counter.Add(result.conditional_trees_built);
   nodes_counter.Add(result.fp_nodes_allocated);
+  mine_span.AddArg(trees_counter.name(), result.conditional_trees_built);
+  mine_span.AddArg(nodes_counter.name(), result.fp_nodes_allocated);
   SortCanonical(&result.itemsets);
 
   // Reconstruct per-size pass stats (pattern growth has no candidates

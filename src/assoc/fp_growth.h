@@ -15,18 +15,12 @@
 
 namespace dmt::assoc {
 
-/// Tuning knobs for FP-Growth.
-struct FpGrowthOptions {
-  /// When a conditional tree degenerates to a single path, emit all item
-  /// combinations on the path directly instead of recursing (the paper's
-  /// key optimization). Paths longer than 30 recurse regardless.
-  bool single_path_optimization = true;
-};
-
-/// Mines all frequent itemsets by pattern growth.
+/// Mines all frequent itemsets by pattern growth. When a tree (the root or
+/// a conditional one) degenerates to a single path of at most 30 nodes,
+/// every combination of the path's items is emitted directly instead of
+/// recursing (the paper's single-path optimization).
 core::Result<MiningResult> MineFpGrowth(const core::TransactionDatabase& db,
-                                        const MiningParams& params,
-                                        const FpGrowthOptions& options = {});
+                                        const MiningParams& params);
 
 }  // namespace dmt::assoc
 

@@ -1,12 +1,13 @@
 #include "assoc/hash_tree.h"
 
-#include "core/check.h"
+#include <algorithm>
 
 namespace dmt::assoc {
 
-HashTree::HashTree(const std::vector<Itemset>& candidates, size_t k,
-                   size_t fanout, size_t max_leaf_size)
-    : candidates_(candidates),
+HashTree::HashTree(const std::vector<Itemset>& itemsets,
+                   std::span<const uint32_t> ids, size_t k, size_t fanout,
+                   size_t max_leaf_size)
+    : itemsets_(&itemsets),
       k_(k),
       fanout_(fanout),
       max_leaf_size_(max_leaf_size),
@@ -14,15 +15,15 @@ HashTree::HashTree(const std::vector<Itemset>& candidates, size_t k,
   DMT_CHECK_GE(k, 1u);
   DMT_CHECK_GE(fanout, 2u);
   DMT_CHECK_GE(max_leaf_size, 1u);
-  for (uint32_t id = 0; id < candidates_.size(); ++id) {
-    DMT_CHECK_EQ(candidates_[id].size(), k_);
+  for (uint32_t id : ids) {
+    DMT_CHECK_EQ(itemsets[id].size(), k_);
     Insert(root_.get(), 0, id);
   }
 }
 
 void HashTree::Insert(Node* node, size_t depth, uint32_t candidate_id) {
   while (!node->is_leaf) {
-    size_t bucket = Bucket(candidates_[candidate_id][depth]);
+    size_t bucket = Bucket((*itemsets_)[candidate_id][depth]);
     node = node->children[bucket].get();
     ++depth;
   }
@@ -44,7 +45,7 @@ void HashTree::SplitLeaf(Node* node, size_t depth) {
     ++num_nodes_;
   }
   for (uint32_t id : ids) {
-    Insert(node->children[Bucket(candidates_[id][depth])].get(), depth + 1,
+    Insert(node->children[Bucket((*itemsets_)[id][depth])].get(), depth + 1,
            id);
   }
 }
@@ -52,8 +53,8 @@ void HashTree::SplitLeaf(Node* node, size_t depth) {
 void HashTree::CountTransaction(std::span<const core::ItemId> transaction,
                                 CountingState& state,
                                 std::span<uint32_t> counts) const {
-  DMT_DCHECK(counts.size() == candidates_.size());
-  DMT_DCHECK(state.stamps_.size() == candidates_.size());
+  DMT_DCHECK(counts.size() == itemsets_->size());
+  DMT_DCHECK(state.stamps_.size() == itemsets_->size());
   if (transaction.size() < k_) return;
   ++state.serial_;
   if (state.serial_ == 0) {
@@ -62,31 +63,6 @@ void HashTree::CountTransaction(std::span<const core::ItemId> transaction,
     state.serial_ = 1;
   }
   Descend(root_.get(), 0, transaction, 0, state, counts);
-}
-
-void HashTree::CountDatabase(const core::TransactionDatabase& db,
-                             std::span<uint32_t> counts) const {
-  CountingState state(candidates_.size());
-  for (size_t t = 0; t < db.size(); ++t) {
-    CountTransaction(db.transaction(t), state, counts);
-  }
-}
-
-void HashTree::CountDatabase(const core::TransactionDatabase& db,
-                             std::span<uint32_t> counts,
-                             const core::ParallelContext& ctx) const {
-  if (!ctx.parallel()) {
-    CountDatabase(db, counts);
-    return;
-  }
-  core::CountPartitioned(
-      ctx, db.size(), counts,
-      [&](size_t begin, size_t end, std::span<uint32_t> local) {
-        CountingState state(candidates_.size());
-        for (size_t t = begin; t < end; ++t) {
-          CountTransaction(db.transaction(t), state, local);
-        }
-      });
 }
 
 void HashTree::Descend(const Node* node, size_t depth,
@@ -100,7 +76,7 @@ void HashTree::Descend(const Node* node, size_t depth,
     for (uint32_t id : node->candidate_ids) {
       if (state.stamps_[id] == state.serial_) continue;
       state.stamps_[id] = state.serial_;
-      if (IsSubsetOf(candidates_[id], transaction)) ++counts[id];
+      if (IsSubsetOf((*itemsets_)[id], transaction)) ++counts[id];
     }
     return;
   }
@@ -110,6 +86,41 @@ void HashTree::Descend(const Node* node, size_t depth,
   for (size_t i = start; i + needed_after < transaction.size(); ++i) {
     const Node* child = node->children[Bucket(transaction[i])].get();
     Descend(child, depth + 1, transaction, i + 1, state, counts);
+  }
+}
+
+SupportCounter::SupportCounter(const std::vector<Itemset>& itemsets)
+    : num_itemsets_(itemsets.size()) {
+  // ids_by_size[k - 1] lists the ids of the k-itemsets in list order.
+  std::vector<std::vector<uint32_t>> ids_by_size;
+  for (uint32_t id = 0; id < itemsets.size(); ++id) {
+    const size_t k = itemsets[id].size();
+    DMT_CHECK_GE(k, 1u);
+    if (ids_by_size.size() < k) ids_by_size.resize(k);
+    ids_by_size[k - 1].push_back(id);
+  }
+  if (ids_by_size.empty()) return;
+  for (uint32_t id : ids_by_size[0]) {
+    const core::ItemId item = itemsets[id][0];
+    if (item >= item_to_id_.size()) {
+      item_to_id_.resize(item + 1, kNoSingleton);
+    }
+    DMT_CHECK_EQ(item_to_id_[item], kNoSingleton);
+    item_to_id_[item] = id;
+  }
+  for (size_t k = 2; k <= ids_by_size.size(); ++k) {
+    if (!ids_by_size[k - 1].empty()) {
+      trees_.emplace_back(itemsets, ids_by_size[k - 1], k);
+    }
+  }
+}
+
+void SupportCounter::AddSingletons(
+    std::span<const core::ItemId> transaction,
+    std::span<uint32_t> counts) const {
+  for (core::ItemId item : transaction) {
+    if (item >= item_to_id_.size()) break;  // items are sorted
+    if (item_to_id_[item] != kNoSingleton) ++counts[item_to_id_[item]];
   }
 }
 

@@ -23,9 +23,8 @@ core::Status MiningParams::Validate() const {
   return core::Status::OK();
 }
 
-uint32_t AbsoluteMinSupport(const core::TransactionDatabase& db,
-                            double min_support) {
-  double exact = min_support * static_cast<double>(db.size());
+uint32_t AbsoluteMinSupport(uint64_t num_transactions, double min_support) {
+  double exact = min_support * static_cast<double>(num_transactions);
   auto count = static_cast<uint64_t>(std::ceil(exact - 1e-9));
   if (count < 1) count = 1;
   return static_cast<uint32_t>(count);

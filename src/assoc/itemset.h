@@ -94,10 +94,11 @@ struct MiningParams {
   core::Status Validate() const;
 };
 
-/// Converts the fractional threshold to an absolute count (at least 1),
-/// rounding up so that support/|D| >= min_support holds exactly.
-uint32_t AbsoluteMinSupport(const core::TransactionDatabase& db,
-                            double min_support);
+/// Converts the fractional threshold over `num_transactions` to an
+/// absolute count (at least 1), rounding up so that support/|D| >=
+/// min_support holds exactly. The in-memory miners pass db.size(); the
+/// out-of-core miners pass the summed partition sizes.
+uint32_t AbsoluteMinSupport(uint64_t num_transactions, double min_support);
 
 /// Sorts itemsets canonically: by size, then lexicographically by items.
 /// Every miner returns this order so results are directly comparable.

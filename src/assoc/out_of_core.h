@@ -11,11 +11,13 @@
 // s*n_p, hence count_p(X) >= ceil(s*n_p) since counts are integral), so
 // the union of local results is a superset of the global answer — no
 // false negatives. Phase 2 streams every partition once more through the
-// mapping and counts the union exactly (hash trees, one per itemset
-// size), then keeps itemsets with global support >= AbsoluteMinSupport
-// over N = sum of partition sizes. Exact counting makes the result —
-// itemsets and supports after SortCanonical — bit-identical to the
-// in-memory miners at every partition count and thread count.
+// mapping and counts the union exactly with one SupportCounter (an item
+// table for singletons, one hash tree per larger size, counted layer by
+// layer), then keeps itemsets with global support >= AbsoluteMinSupport
+// over N = sum of partition sizes — the in-memory miners' rounding rule.
+// Exact counting makes the result — itemsets and supports after
+// SortCanonical — bit-identical to the in-memory miners at every
+// partition count and thread count.
 //
 // `passes` reports the phase-2 census (per size: candidates in the
 // union, survivors); the phase-1 work counters of the local mines are
@@ -40,17 +42,16 @@
 
 namespace dmt::assoc {
 
-/// Partitioned Apriori: each partition is mined by MineApriori, the
-/// union is counted exactly with the same hash-tree machinery.
+/// Partitioned Apriori: each partition is mined by MineApriori, and the
+/// union is counted exactly by the SupportCounter Apriori counts with.
 core::Result<MiningResult> MineAprioriPartitioned(
-    std::span<const std::string> partition_paths, const MiningParams& params,
-    const AprioriOptions& options = {});
+    std::span<const std::string> partition_paths, const MiningParams& params);
 
 /// Disk-projected FP-Growth: each partition is projected into memory and
-/// mined by MineFpGrowth; the union is counted exactly by hash trees.
+/// mined by MineFpGrowth; the union is counted exactly by a
+/// SupportCounter.
 core::Result<MiningResult> MineFpGrowthDiskProjected(
-    std::span<const std::string> partition_paths, const MiningParams& params,
-    const FpGrowthOptions& options = {});
+    std::span<const std::string> partition_paths, const MiningParams& params);
 
 }  // namespace dmt::assoc
 

@@ -58,37 +58,6 @@ std::vector<Itemset> NegativeBorder(
   return border;
 }
 
-std::vector<uint32_t> CountExactSupports(const TransactionDatabase& db,
-                                         const std::vector<Itemset>& itemsets,
-                                         const core::ParallelContext& ctx) {
-  std::vector<uint32_t> supports(itemsets.size(), 0);
-  std::map<size_t, std::vector<uint32_t>> ids_by_size;
-  for (uint32_t i = 0; i < itemsets.size(); ++i) {
-    ids_by_size[itemsets[i].size()].push_back(i);
-  }
-  for (const auto& [size, ids] : ids_by_size) {
-    if (size == 1) {
-      auto item_supports = db.ItemSupports();
-      for (uint32_t id : ids) {
-        core::ItemId item = itemsets[id][0];
-        supports[id] =
-            item < item_supports.size() ? item_supports[item] : 0;
-      }
-      continue;
-    }
-    std::vector<Itemset> layer;
-    layer.reserve(ids.size());
-    for (uint32_t id : ids) layer.push_back(itemsets[id]);
-    HashTree tree(layer, size);
-    std::vector<uint32_t> counts(layer.size(), 0);
-    tree.CountDatabase(db, counts, ctx);
-    for (size_t slot = 0; slot < ids.size(); ++slot) {
-      supports[ids[slot]] = counts[slot];
-    }
-  }
-  return supports;
-}
-
 Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
                                       const MiningParams& params,
                                       const SamplingOptions& options,
@@ -104,8 +73,6 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
   obs::Counter misses_counter("assoc/sampling/border_misses");
   obs::Counter fallbacks_counter("assoc/sampling/fallbacks");
   obs::Span mine_span("assoc/sampling/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(misses_counter);
 
   // Draw the sample.
   Rng rng(options.seed);
@@ -155,12 +122,14 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
   }
   out_stats->candidates_checked = candidates.size();
   candidates_counter.Add(candidates.size());
+  mine_span.AddArg(candidates_counter.name(), candidates.size());
 
-  std::vector<uint32_t> supports = [&] {
+  std::vector<uint32_t> supports(candidates.size(), 0);
+  {
     obs::Span verify_span("assoc/sampling/verify");
-    return CountExactSupports(db, candidates, ctx);
-  }();
-  const uint32_t min_count = AbsoluteMinSupport(db, params.min_support);
+    SupportCounter(candidates).Count(db, ctx, supports);
+  }
+  const uint32_t min_count = AbsoluteMinSupport(db.size(), params.min_support);
 
   MiningResult result;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -169,11 +138,12 @@ Result<MiningResult> MineWithSampling(const TransactionDatabase& db,
       // A frequent negative-border set: some superset may be frequent
       // too, so the one-scan result is not provably complete.
       ++out_stats->border_misses;
-      misses_counter.Increment();
       continue;
     }
     result.itemsets.push_back({candidates[i], supports[i]});
   }
+  misses_counter.Add(out_stats->border_misses);
+  mine_span.AddArg(misses_counter.name(), out_stats->border_misses);
   if (out_stats->border_misses > 0) {
     // Some frequent itemset may lie beyond the verified candidates; redo
     // exactly (Toivonen's second pass, implemented as a full remine).

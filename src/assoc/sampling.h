@@ -55,14 +55,6 @@ core::Result<MiningResult> MineWithSampling(
 std::vector<Itemset> NegativeBorder(
     const std::vector<FrequentItemset>& frequent, size_t item_universe);
 
-/// Exact supports of arbitrary itemsets against `db` in one logical scan:
-/// one hash tree per size layer, each counted across `ctx` under the
-/// deterministic chunk-merge contract. Shared by the sampling verifier
-/// and the streaming miner's negative-border verification.
-std::vector<uint32_t> CountExactSupports(const core::TransactionDatabase& db,
-                                         const std::vector<Itemset>& itemsets,
-                                         const core::ParallelContext& ctx);
-
 }  // namespace dmt::assoc
 
 #endif  // DMT_ASSOC_SAMPLING_H_

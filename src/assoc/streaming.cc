@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "assoc/fp_growth.h"
+#include "assoc/hash_tree.h"
 #include "assoc/sampling.h"
 #include "core/check.h"
 #include "core/parallel.h"
@@ -104,8 +105,6 @@ Result<MiningResult> StreamingMiner::MineWindow(
   obs::Counter candidates_counter("assoc/streaming/candidates_checked");
   obs::Counter misses_counter("assoc/streaming/border_misses");
   obs::Counter fallbacks_counter("assoc/streaming/fallbacks");
-  span.AttachCounter(candidates_counter);
-  span.AttachCounter(misses_counter);
 
   const TransactionDatabase window_db = WindowTransactions();
   const size_t n = window_db.size();
@@ -116,7 +115,7 @@ Result<MiningResult> StreamingMiner::MineWindow(
   // querying at ceil(s·N) - floor(ε·N) can never miss a truly frequent
   // itemset. Integer arithmetic keeps the bar (and thus the candidate
   // set) bit-identical at every thread count.
-  const uint32_t exact_min = AbsoluteMinSupport(window_db, params_.min_support);
+  const uint32_t exact_min = AbsoluteMinSupport(n, params_.min_support);
   const auto slack = static_cast<uint32_t>(
       params_.EffectiveError() * static_cast<double>(n));
   const uint32_t candidate_min = exact_min > slack ? exact_min - slack : 1;
@@ -151,22 +150,25 @@ Result<MiningResult> StreamingMiner::MineWindow(
   }
   out_stats->candidates_checked = candidates.size();
   candidates_counter.Add(candidates.size());
+  span.AddArg(candidates_counter.name(), candidates.size());
 
-  const std::vector<uint32_t> supports = [&] {
+  std::vector<uint32_t> supports(candidates.size(), 0);
+  {
     obs::Span verify_span("assoc/streaming/verify");
-    return CountExactSupports(window_db, candidates, ctx);
-  }();
+    SupportCounter(candidates).Count(window_db, ctx, supports);
+  }
 
   MiningResult result;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (supports[i] < exact_min) continue;
     if (i >= num_summary_candidates) {
       ++out_stats->border_misses;
-      misses_counter.Increment();
       continue;
     }
     result.itemsets.push_back({candidates[i], supports[i]});
   }
+  misses_counter.Add(out_stats->border_misses);
+  span.AddArg(misses_counter.name(), out_stats->border_misses);
   if (out_stats->border_misses > 0) {
     out_stats->fell_back = true;
     fallbacks_counter.Increment();

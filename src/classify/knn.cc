@@ -151,8 +151,8 @@ Result<std::vector<uint32_t>> KnnClassifier::PredictAll(
   }
   obs::Counter queries_counter("classify/knn/queries");
   obs::Span predict_span("classify/knn/predict_all");
-  predict_span.AttachCounter(queries_counter);
   queries_counter.Add(queries.size());
+  predict_span.AddArg(queries_counter.name(), queries.size());
   std::vector<uint32_t> predictions;
   predictions.reserve(queries.size());
   std::vector<double> buffer(queries.dim());

@@ -169,8 +169,8 @@ Result<std::vector<uint32_t>> NaiveBayesClassifier::PredictAll(
     const Dataset& test) const {
   obs::Counter predictions_counter("classify/naive_bayes/predictions");
   obs::Span predict_span("classify/naive_bayes/predict_all");
-  predict_span.AttachCounter(predictions_counter);
   predictions_counter.Add(test.num_rows());
+  predict_span.AddArg(predictions_counter.name(), test.num_rows());
   std::vector<uint32_t> predictions;
   predictions.reserve(test.num_rows());
   if (!ValidForFastPath(test)) {

@@ -256,13 +256,11 @@ Result<BirchResult> Birch(const PointSet& points,
 
   // BIRCH's global phase delegates to k-means, which publishes its own
   // distance work to the k-means counter; BIRCH adds its labeling scan
-  // there too, so the run span's arg covers both.
+  // there too, and the run span's arg is the sum of both.
   obs::Counter comps_counter("cluster/kmeans/distance_computations");
   obs::Counter rebuilds_counter("cluster/birch/rebuilds");
   obs::Gauge leaf_entries_gauge("cluster/birch/leaf_entries");
   obs::Span run_span("cluster/birch/run");
-  run_span.AttachCounter(comps_counter);
-  run_span.AttachCounter(rebuilds_counter);
 
   BirchResult result;
   double threshold = options.threshold > 0.0 ? options.threshold : 1e-3;
@@ -278,13 +276,14 @@ Result<BirchResult> Birch(const PointSet& points,
         std::vector<Cf> entries = tree->LeafEntries();
         threshold *= 2.0;
         ++result.rebuilds;
-        rebuilds_counter.Increment();
         tree = std::make_unique<CfTree>(dim, threshold, options.branching,
                                         options.leaf_entries);
         for (const Cf& entry : entries) tree->Insert(entry);
       }
     }
   }
+  rebuilds_counter.Add(result.rebuilds);
+  run_span.AddArg(rebuilds_counter.name(), result.rebuilds);
 
   std::vector<Cf> entries = tree->LeafEntries();
   result.num_leaf_entries = entries.size();
@@ -320,6 +319,8 @@ Result<BirchResult> Birch(const PointSet& points,
   result.clustering.distance_computations =
       global.distance_computations + label_comps;
   comps_counter.Add(label_comps);
+  run_span.AddArg(comps_counter.name(),
+                  result.clustering.distance_computations);
   result.clustering.assignments.resize(points.size());
   double sse = 0.0;
   for (size_t i = 0; i < points.size(); ++i) {

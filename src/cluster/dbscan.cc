@@ -67,8 +67,6 @@ Result<DbscanResult> Dbscan(const PointSet& points,
   obs::Counter queries_counter("cluster/dbscan/region_queries");
   obs::Counter neighbors_counter("cluster/dbscan/neighbors_returned");
   obs::Span run_span("cluster/dbscan/run");
-  run_span.AttachCounter(queries_counter);
-  run_span.AttachCounter(neighbors_counter);
 
   std::unique_ptr<core::KdTree> index;
   core::kernels::SoaBlock soa;
@@ -107,12 +105,14 @@ Result<DbscanResult> Dbscan(const PointSet& points,
   // parallel mode prefetches every neighbourhood but the serial sweep
   // queries lazily, so counting consumed queries is what keeps the totals
   // identical at every thread count.
+  uint64_t queries = 0;
+  uint64_t neighbors = 0;
   auto region_query = [&](size_t center) {
-    queries_counter.Increment();
+    ++queries;
     std::vector<uint32_t> neighbours = batched.empty()
                                            ? query_point(center)
                                            : std::move(batched[center]);
-    neighbors_counter.Add(neighbours.size());
+    neighbors += neighbours.size();
     return neighbours;
   };
 
@@ -152,6 +152,12 @@ Result<DbscanResult> Dbscan(const PointSet& points,
     }
   }
   result.num_clusters = static_cast<size_t>(cluster_id + 1);
+  // Publish the run's tallies once, and record them on the run span
+  // while it is open.
+  queries_counter.Add(queries);
+  neighbors_counter.Add(neighbors);
+  run_span.AddArg(queries_counter.name(), queries);
+  run_span.AddArg(neighbors_counter.name(), neighbors);
   return result;
 }
 

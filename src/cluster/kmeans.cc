@@ -357,8 +357,6 @@ Result<ClusteringResult> Run(const PointSet& points,
   obs::Counter iterations_counter("cluster/kmeans/iterations");
   obs::Counter comps_counter("cluster/kmeans/distance_computations");
   obs::Span run_span("cluster/kmeans/run");
-  run_span.AttachCounter(iterations_counter);
-  run_span.AttachCounter(comps_counter);
 
   ClusteringResult result;
   uint64_t seeding_comps = 0;
@@ -389,7 +387,6 @@ Result<ClusteringResult> Run(const PointSet& points,
   for (size_t iteration = 0; iteration < options.max_iterations;
        ++iteration) {
     result.iterations = iteration + 1;
-    iterations_counter.Increment();
     result.sse = assign_points();
 
     // Update step (weights scale only the sums, never the assignment).
@@ -454,8 +451,11 @@ Result<ClusteringResult> Run(const PointSet& points,
   result.sse = assign_points();
   result.distance_computations =
       seeding_comps + engine.distance_computations();
-  // Publish once, while the run span that attaches the counter is open.
+  // Publish once, and record the totals on the run span while it is open.
+  iterations_counter.Add(result.iterations);
   comps_counter.Add(result.distance_computations);
+  run_span.AddArg(iterations_counter.name(), result.iterations);
+  run_span.AddArg(comps_counter.name(), result.distance_computations);
   return result;
 }
 

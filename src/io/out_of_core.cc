@@ -3,11 +3,8 @@
 // points belong to namespace dmt::assoc alongside the in-memory miners.
 #include "assoc/out_of_core.h"
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -27,57 +24,9 @@ namespace {
 using LocalMiner = std::function<core::Result<MiningResult>(
     const core::TransactionDatabase&, const MiningParams&)>;
 
-/// Global absolute threshold over N transactions — the same rounding as
-/// AbsoluteMinSupport, which takes a database we never materialize.
-uint32_t GlobalMinSupport(double min_support, uint64_t num_transactions) {
-  double exact = min_support * static_cast<double>(num_transactions);
-  auto count = static_cast<uint64_t>(std::ceil(exact - 1e-9));
-  if (count < 1) count = 1;
-  return static_cast<uint32_t>(count);
-}
-
-/// Counts every transaction of a mapped partition into per-candidate
-/// totals for one itemset-size layer, under the deterministic
-/// chunk-merge contract (CountPartitioned adds into `counts`, so totals
-/// accumulate across partitions).
-void CountLayer(const io::MappedTransactionDatabase& view,
-                const core::ParallelContext& ctx, const HashTree& tree,
-                size_t num_candidates, std::span<uint32_t> counts) {
-  core::CountPartitioned(
-      ctx, view.size(), counts,
-      [&](size_t begin, size_t end, std::span<uint32_t> buffer) {
-        HashTree::CountingState state(num_candidates);
-        for (size_t t = begin; t < end; ++t) {
-          tree.CountTransaction(view.transaction(t), state, buffer);
-        }
-      });
-}
-
-/// Size-1 layer: direct per-item scan (a hash tree over singletons would
-/// work but a lookup table is cheaper).
-void CountSingletons(const io::MappedTransactionDatabase& view,
-                     const core::ParallelContext& ctx,
-                     const std::vector<uint32_t>& item_to_candidate,
-                     std::span<uint32_t> counts) {
-  constexpr uint32_t kNone = UINT32_MAX;
-  core::CountPartitioned(
-      ctx, view.size(), counts,
-      [&](size_t begin, size_t end, std::span<uint32_t> buffer) {
-        for (size_t t = begin; t < end; ++t) {
-          for (core::ItemId item : view.transaction(t)) {
-            if (item < item_to_candidate.size() &&
-                item_to_candidate[item] != kNone) {
-              ++buffer[item_to_candidate[item]];
-            }
-          }
-        }
-      });
-}
-
 core::Result<MiningResult> MineOutOfCore(
     std::span<const std::string> partition_paths, const MiningParams& params,
-    const char* span_name, const LocalMiner& local_mine,
-    size_t hash_tree_fanout, size_t hash_tree_leaf_size) {
+    const char* span_name, const LocalMiner& local_mine) {
   DMT_RETURN_NOT_OK(params.Validate());
   if (partition_paths.empty()) {
     return core::Status::InvalidArgument(
@@ -90,7 +39,7 @@ core::Result<MiningResult> MineOutOfCore(
   uint64_t num_transactions = 0;
   // Candidate union in lexicographic order — a deterministic order that
   // does not depend on which partition contributed an itemset first.
-  std::set<Itemset> candidates;
+  std::set<Itemset> candidate_union;
   {
     obs::Span local_span("assoc/out_of_core/local_mine");
     for (const std::string& path : partition_paths) {
@@ -107,76 +56,44 @@ core::Result<MiningResult> MineOutOfCore(
       result.fp_nodes_allocated += local.fp_nodes_allocated;
       result.tidset_intersections += local.tidset_intersections;
       for (FrequentItemset& itemset : local.itemsets) {
-        candidates.insert(std::move(itemset.items));
+        candidate_union.insert(std::move(itemset.items));
       }
     }
   }
   obs::Counter("assoc/out_of_core/partitions_mined")
       .Add(result.partitions_mined);
 
-  if (candidates.empty()) return result;
+  if (candidate_union.empty()) return result;
 
-  // Phase 2: exact counting of the union, one layer per itemset size.
+  // Phase 2: exact counting of the union.
   obs::Span count_span("assoc/out_of_core/count");
-  std::map<size_t, std::vector<Itemset>> layers;
-  for (const Itemset& itemset : candidates) {
-    layers[itemset.size()].push_back(itemset);
-  }
-  candidates.clear();
-
-  constexpr uint32_t kNone = UINT32_MAX;
-  std::vector<uint32_t> item_to_candidate;
-  std::vector<std::unique_ptr<HashTree>> trees;
-  std::map<size_t, std::vector<uint32_t>> layer_counts;
-  std::map<size_t, const HashTree*> layer_trees;
-  for (const auto& [k, layer] : layers) {
-    layer_counts[k].assign(layer.size(), 0);
-    if (k == 1) {
-      for (uint32_t c = 0; c < layer.size(); ++c) {
-        const core::ItemId item = layer[c][0];
-        if (item >= item_to_candidate.size()) {
-          item_to_candidate.resize(item + 1, kNone);
-        }
-        item_to_candidate[item] = c;
-      }
-    } else {
-      trees.push_back(std::make_unique<HashTree>(
-          layer, k, hash_tree_fanout, hash_tree_leaf_size));
-      layer_trees[k] = trees.back().get();
-    }
-  }
-
-  core::ParallelContext ctx(params.num_threads);
+  std::vector<Itemset> candidates(candidate_union.begin(),
+                                  candidate_union.end());
+  candidate_union.clear();
+  const SupportCounter counter(candidates);
+  std::vector<uint32_t> counts(candidates.size(), 0);
+  const core::ParallelContext ctx(params.num_threads);
   for (const std::string& path : partition_paths) {
     DMT_ASSIGN_OR_RETURN(io::MappedTransactionDatabase view,
                          io::MappedTransactionDatabase::Map(path));
     result.bytes_mapped += view.bytes_mapped();
-    if (view.empty()) continue;
-    for (const auto& [k, layer] : layers) {
-      std::span<uint32_t> counts(layer_counts[k]);
-      if (k == 1) {
-        CountSingletons(view, ctx, item_to_candidate, counts);
-      } else {
-        CountLayer(view, ctx, *layer_trees[k], layer.size(), counts);
-      }
-    }
+    counter.Count(view, ctx, counts);
   }
 
+  // The census per size: candidates in the union, and survivors.
   const uint32_t min_count =
-      GlobalMinSupport(params.min_support, num_transactions);
-  for (const auto& [k, layer] : layers) {
-    const std::vector<uint32_t>& counts = layer_counts[k];
-    PassStats stats;
-    stats.pass = k;
-    stats.candidates = layer.size();
-    for (size_t c = 0; c < layer.size(); ++c) {
-      if (counts[c] >= min_count) {
-        result.itemsets.push_back({layer[c], counts[c]});
-        ++stats.frequent;
-      }
+      AbsoluteMinSupport(num_transactions, params.min_support);
+  std::map<size_t, PassStats> census;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    PassStats& stats = census[candidates[c].size()];
+    stats.pass = candidates[c].size();
+    ++stats.candidates;
+    if (counts[c] >= min_count) {
+      ++stats.frequent;
+      result.itemsets.push_back({std::move(candidates[c]), counts[c]});
     }
-    result.passes.push_back(stats);
   }
+  for (const auto& [k, stats] : census) result.passes.push_back(stats);
   SortCanonical(&result.itemsets);
   span.AddArg("itemsets", result.itemsets.size());
   return result;
@@ -185,26 +102,15 @@ core::Result<MiningResult> MineOutOfCore(
 }  // namespace
 
 core::Result<MiningResult> MineAprioriPartitioned(
-    std::span<const std::string> partition_paths, const MiningParams& params,
-    const AprioriOptions& options) {
-  DMT_RETURN_NOT_OK(options.Validate());
-  return MineOutOfCore(
-      partition_paths, params, "assoc/out_of_core/apriori",
-      [&options](const core::TransactionDatabase& db,
-                 const MiningParams& p) { return MineApriori(db, p, options); },
-      options.hash_tree_fanout, options.hash_tree_leaf_size);
+    std::span<const std::string> partition_paths, const MiningParams& params) {
+  return MineOutOfCore(partition_paths, params, "assoc/out_of_core/apriori",
+                       MineApriori);
 }
 
 core::Result<MiningResult> MineFpGrowthDiskProjected(
-    std::span<const std::string> partition_paths, const MiningParams& params,
-    const FpGrowthOptions& options) {
-  return MineOutOfCore(
-      partition_paths, params, "assoc/out_of_core/fp_growth",
-      [&options](const core::TransactionDatabase& db, const MiningParams& p) {
-        return MineFpGrowth(db, p, options);
-      },
-      AprioriOptions{}.hash_tree_fanout, AprioriOptions{}.hash_tree_leaf_size);
+    std::span<const std::string> partition_paths, const MiningParams& params) {
+  return MineOutOfCore(partition_paths, params,
+                       "assoc/out_of_core/fp_growth", MineFpGrowth);
 }
 
 }  // namespace dmt::assoc
-

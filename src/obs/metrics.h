@@ -7,12 +7,12 @@
 // folded after the pool barrier, since each chunk owns its slot), fills
 // its public stats fields (MiningResult work counters,
 // ClusteringResult::distance_computations, TreeBuildStats::
-// split_scan_rows) from those tallies, and publishes each total to the
-// registry with one Counter::Add while the span that attaches the
-// counter is still open. Nothing in the library reads a counter back
-// into a result, so two runs in one process never see each other's
-// work. Readers are the exporters (trace, Prometheus, stats JSON) and
-// tests.
+// split_scan_rows) from those tallies, publishes each total to the
+// registry with one Counter::Add, and records the same total as an arg
+// of its open span, keyed by the counter's name. Nothing in the library
+// reads a counter back into a result or a span, so two runs in one
+// process never see each other's work. Readers are the exporters
+// (trace, Prometheus, stats JSON) and tests.
 //
 // Determinism contract (DESIGN.md "Parallel execution", applied to
 // metrics): counter totals must be bit-identical at every thread count.

@@ -216,20 +216,12 @@ Span::~Span() {
   event.cpu_us = core::CpuTimer::Now() * 1e6 - start_cpu_us_;
   event.tid = sink.ThreadId();
   event.args = std::move(args_);
-  for (const auto& [counter, start] : attached_) {
-    event.args.emplace_back(counter.name(), counter.value() - start);
-  }
   sink.Record(std::move(event));
 }
 
-void Span::AddArg(const char* key, uint64_t value) {
+void Span::AddArg(std::string_view key, uint64_t value) {
   if (!active_) return;
   args_.emplace_back(key, value);
-}
-
-void Span::AttachCounter(const Counter& counter) {
-  if (!active_) return;
-  attached_.emplace_back(counter, counter.value());
 }
 
 }  // namespace dmt::obs

@@ -1,12 +1,16 @@
 // Hierarchical RAII trace spans and the Chrome trace_event sink.
 //
-//   obs::Span scan("assoc/apriori/pass/count");
+//   obs::Span scan("assoc/apriori/pass");
 //   scan.AddArg("k", k);
-//   scan.AttachCounter(candidates);   // records the counter's delta
+//   candidates.Add(total);
+//   scan.AddArg(candidates.name(), total);   // the run's own total
 //
 // Spans record wall time (core::WallTimer) and process CPU time
 // (core::CpuTimer) between construction and destruction, plus any
-// attached args, and report to the global TraceSink. The sink serializes
+// attached args, and report to the global TraceSink. A run records each
+// work total it publishes to a registry counter as an arg keyed by the
+// counter's name, so concurrent runs sharing a counter never see each
+// other's work in their spans. The sink serializes
 // to Chrome trace_event JSON ("complete" events, ph="X") loadable in
 // chrome://tracing or Perfetto, with the metrics-registry totals embedded
 // as a "dmtCounters" object.
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -147,14 +152,7 @@ class Span {
 
   /// Attaches a named value to the span (shown under "args" in the trace
   /// viewer). No-op on an inactive span.
-  void AddArg(const char* key, uint64_t value);
-
-  /// Attaches a counter: the span records how much the counter grew
-  /// between this call and the span's close, keyed by the counter's
-  /// registered name. Algorithms publish their totals before the span
-  /// closes, so a solo run's arg equals its result field; a concurrent
-  /// run publishing to the same counter lands in the arg too.
-  void AttachCounter(const Counter& counter);
+  void AddArg(std::string_view key, uint64_t value);
 
  private:
   const char* name_;
@@ -162,7 +160,6 @@ class Span {
   double start_wall_us_ = 0.0;
   double start_cpu_us_ = 0.0;
   std::vector<std::pair<std::string, uint64_t>> args_;
-  std::vector<std::pair<Counter, uint64_t>> attached_;
 };
 
 }  // namespace dmt::obs

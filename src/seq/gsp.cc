@@ -259,9 +259,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
   obs::Counter frequent_counter("seq/gsp/frequent");
   obs::Counter passes_counter("seq/gsp/passes");
   obs::Span mine_span("seq/gsp/mine");
-  mine_span.AttachCounter(candidates_counter);
-  mine_span.AttachCounter(frequent_counter);
-  mine_span.AttachCounter(passes_counter);
 
   // Pass 1: frequent items (customer support: once per customer).
   std::vector<uint32_t> item_support(db.item_universe(), 0);
@@ -285,9 +282,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
     }
   }
   result.passes.push_back({1, db.item_universe(), layer.size()});
-  candidates_counter.Add(db.item_universe());
-  frequent_counter.Add(layer.size());
-  passes_counter.Increment();
   result.patterns = layer;
 
   // Per-customer item signatures, computed once: a candidate whose
@@ -323,7 +317,6 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
     }
     if (candidates.empty()) {
       result.passes.push_back({k, 0, 0});
-      passes_counter.Increment();
       break;
     }
     std::vector<uint32_t> counts(candidates.size(), 0);
@@ -362,13 +355,24 @@ Result<SeqMiningResult> MineGsp(const SequenceDatabase& db,
       }
     }
     result.passes.push_back({k, candidates.size(), next_layer.size()});
-    candidates_counter.Add(candidates.size());
-    frequent_counter.Add(next_layer.size());
-    passes_counter.Increment();
     result.patterns.insert(result.patterns.end(), next_layer.begin(),
                            next_layer.end());
     layer = std::move(next_layer);
   }
+  // Publish the run's pass census once, and record its totals on the mine
+  // span while it is open.
+  uint64_t num_candidates = 0;
+  uint64_t num_frequent = 0;
+  for (const SeqPassStats& stats : result.passes) {
+    num_candidates += stats.candidates;
+    num_frequent += stats.frequent;
+  }
+  candidates_counter.Add(num_candidates);
+  frequent_counter.Add(num_frequent);
+  passes_counter.Add(result.passes.size());
+  mine_span.AddArg(candidates_counter.name(), num_candidates);
+  mine_span.AddArg(frequent_counter.name(), num_frequent);
+  mine_span.AddArg(passes_counter.name(), result.passes.size());
   SortCanonicalSequences(&result.patterns);
   return result;
 }

@@ -97,8 +97,6 @@ class TreeBuilderImpl {
     obs::Counter scan_rows_counter("tree/greedy/split_scan_rows");
     obs::Counter nodes_counter("tree/greedy/nodes");
     obs::Span build_span("tree/greedy/build");
-    build_span.AttachCounter(scan_rows_counter);
-    build_span.AttachCounter(nodes_counter);
 
     DecisionTree tree;
     // Capture rendering metadata.
@@ -121,11 +119,14 @@ class TreeBuilderImpl {
       Grow(&tree, std::move(root), 0);
     }
     // Fold the per-chunk scan tallies into this build's total and
-    // publish it once, while the build span is still open.
+    // publish it once, recording it on the build span while it is open.
     uint64_t scan_rows = 0;
     for (const ScanScratch& s : scratch_) scan_rows += s.scan_rows;
+    const size_t num_nodes = internal::TreeAccess::Nodes(tree).size();
     scan_rows_counter.Add(scan_rows);
-    nodes_counter.Add(internal::TreeAccess::Nodes(tree).size());
+    nodes_counter.Add(num_nodes);
+    build_span.AddArg(scan_rows_counter.name(), scan_rows);
+    build_span.AddArg(nodes_counter.name(), num_nodes);
     if (stats != nullptr) stats->split_scan_rows = scan_rows;
     return tree;
   }

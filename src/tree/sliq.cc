@@ -76,8 +76,6 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
   obs::Counter scan_rows_counter("tree/sliq/split_scan_rows");
   obs::Counter levels_counter("tree/sliq/levels");
   obs::Span build_span("tree/sliq/build");
-  build_span.AttachCounter(scan_rows_counter);
-  build_span.AttachCounter(levels_counter);
 
   DecisionTree tree;
   auto& nodes = internal::TreeAccess::Nodes(tree);
@@ -130,7 +128,6 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
   while (!slot_node.empty()) {
     obs::Span level_span("tree/sliq/level");
     level_span.AddArg("depth", depth);
-    levels_counter.Increment();
     const size_t num_slots = slot_node.size();
     // Finalize majority classes for this level's nodes, and hoist the
     // parent-side split-score terms (totals, impurity) out of the list
@@ -304,10 +301,14 @@ Result<DecisionTree> BuildSliq(const Dataset& data,
     ++depth;
   }
   // Fold the per-chunk scan tallies into this build's total and publish
-  // it once, while the build span is still open.
+  // it once with the level count, recording both on the build span while
+  // it is open.
   uint64_t scan_rows = 0;
   for (const LevelScratch& s : scratch) scan_rows += s.scan_rows;
   scan_rows_counter.Add(scan_rows);
+  levels_counter.Add(depth);
+  build_span.AddArg(scan_rows_counter.name(), scan_rows);
+  build_span.AddArg(levels_counter.name(), depth);
   if (stats != nullptr) stats->split_scan_rows = scan_rows;
   return tree;
 }

@@ -5,22 +5,16 @@
 namespace dmt::assoc {
 namespace {
 
-using core::TransactionDatabase;
-
 TEST(ItemsetTest, AbsoluteMinSupportRoundsUp) {
-  TransactionDatabase db;
-  for (int i = 0; i < 10; ++i) db.Add(std::vector<core::ItemId>{0});
-  EXPECT_EQ(AbsoluteMinSupport(db, 0.25), 3u);   // ceil(2.5)
-  EXPECT_EQ(AbsoluteMinSupport(db, 0.3), 3u);    // exactly 3
-  EXPECT_EQ(AbsoluteMinSupport(db, 0.01), 1u);   // at least 1
-  EXPECT_EQ(AbsoluteMinSupport(db, 1.0), 10u);
+  EXPECT_EQ(AbsoluteMinSupport(10, 0.25), 3u);   // ceil(2.5)
+  EXPECT_EQ(AbsoluteMinSupport(10, 0.3), 3u);    // exactly 3
+  EXPECT_EQ(AbsoluteMinSupport(10, 0.01), 1u);   // at least 1
+  EXPECT_EQ(AbsoluteMinSupport(10, 1.0), 10u);
 }
 
 TEST(ItemsetTest, AbsoluteMinSupportExactFractionNotBumped) {
-  TransactionDatabase db;
-  for (int i = 0; i < 1000; ++i) db.Add(std::vector<core::ItemId>{0});
   // 0.5% of 1000 = 5 exactly; floating noise must not push it to 6.
-  EXPECT_EQ(AbsoluteMinSupport(db, 0.005), 5u);
+  EXPECT_EQ(AbsoluteMinSupport(1000, 0.005), 5u);
 }
 
 TEST(ItemsetTest, SortCanonicalBySizeThenLex) {

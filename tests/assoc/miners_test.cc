@@ -1,8 +1,9 @@
-// Cross-algorithm correctness: every miner — the four core algorithms in
-// all their ablation variants plus sampling-based mining — must produce
-// exactly the same frequent-itemset collection as a brute-force reference
-// on random databases, across support thresholds (including exact
-// absolute-count boundaries), database shapes (including tie-heavy
+// Cross-algorithm correctness: every miner — the four core algorithms,
+// both Eclat tidset representations, sampling-based mining, and Apriori and
+// sampling on 4 threads (their SupportCounter scans in chunks) — must
+// produce exactly the same frequent-itemset collection as a brute-force
+// reference on random databases, across support thresholds (including
+// exact absolute-count boundaries), database shapes (including tie-heavy
 // supports), and max_itemset_size caps.
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@ void BruteForceExtend(const TransactionDatabase& db, uint32_t min_count,
 
 std::vector<FrequentItemset> BruteForceMine(const TransactionDatabase& db,
                                             double min_support) {
-  uint32_t min_count = AbsoluteMinSupport(db, min_support);
+  uint32_t min_count = AbsoluteMinSupport(db.size(), min_support);
   std::vector<FrequentItemset> out;
   BruteForceExtend(db, min_count, {}, 0, &out);
   SortCanonical(&out);
@@ -66,10 +67,10 @@ TransactionDatabase RandomDatabase(uint64_t seed, size_t transactions,
 
 enum class Algorithm {
   kApriori,
-  kAprioriSubsetLookup,
+  kAprioriThreads4,
   kAprioriTid,
   kFpGrowth,
-  kFpGrowthNoSinglePath,
+  kSamplingThreads4,
   kEclat,
   kEclatBitset,
   kSampling,
@@ -80,14 +81,14 @@ std::string AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kApriori:
       return "Apriori";
-    case Algorithm::kAprioriSubsetLookup:
-      return "AprioriSubsetLookup";
+    case Algorithm::kAprioriThreads4:
+      return "AprioriThreads4";
     case Algorithm::kAprioriTid:
       return "AprioriTid";
     case Algorithm::kFpGrowth:
       return "FpGrowth";
-    case Algorithm::kFpGrowthNoSinglePath:
-      return "FpGrowthNoSinglePath";
+    case Algorithm::kSamplingThreads4:
+      return "SamplingThreads4";
     case Algorithm::kEclat:
       return "Eclat";
     case Algorithm::kEclatBitset:
@@ -100,26 +101,25 @@ std::string AlgorithmName(Algorithm algorithm) {
   return "?";
 }
 
+MiningParams OnFourThreads(MiningParams params) {
+  params.num_threads = 4;
+  return params;
+}
+
 core::Result<MiningResult> RunMiner(Algorithm algorithm,
                                     const TransactionDatabase& db,
                                     const MiningParams& params) {
   switch (algorithm) {
     case Algorithm::kApriori:
       return MineApriori(db, params);
-    case Algorithm::kAprioriSubsetLookup: {
-      AprioriOptions options;
-      options.counting = AprioriOptions::CountingMethod::kSubsetLookup;
-      return MineApriori(db, params, options);
-    }
+    case Algorithm::kAprioriThreads4:
+      return RunMiner(Algorithm::kApriori, db, OnFourThreads(params));
     case Algorithm::kAprioriTid:
       return MineAprioriTid(db, params);
     case Algorithm::kFpGrowth:
       return MineFpGrowth(db, params);
-    case Algorithm::kFpGrowthNoSinglePath: {
-      FpGrowthOptions options;
-      options.single_path_optimization = false;
-      return MineFpGrowth(db, params, options);
-    }
+    case Algorithm::kSamplingThreads4:
+      return RunMiner(Algorithm::kSampling, db, OnFourThreads(params));
     case Algorithm::kEclat:
       return MineEclat(db, params);
     case Algorithm::kEclatBitset: {
@@ -150,9 +150,9 @@ core::Result<MiningResult> RunMiner(Algorithm algorithm,
 }
 
 constexpr Algorithm kAllAlgorithms[] = {
-    Algorithm::kApriori,        Algorithm::kAprioriSubsetLookup,
+    Algorithm::kApriori,        Algorithm::kAprioriThreads4,
     Algorithm::kAprioriTid,     Algorithm::kFpGrowth,
-    Algorithm::kFpGrowthNoSinglePath,
+    Algorithm::kSamplingThreads4,
     Algorithm::kEclat,          Algorithm::kEclatBitset,
     Algorithm::kSampling,       Algorithm::kSamplingTinySample,
 };
@@ -378,9 +378,9 @@ TEST(MinerPropertiesTest, TieHeavySupportsAgreeAcrossMinersAndThreads) {
 TEST(MinerPropertiesTest, FpGrowthAppliesSinglePathFastPathAtRoot) {
   // Regression: the root-level IsSinglePath() check used to select
   // between two identical branches, so the advertised fast path never ran
-  // at the root. On a single-chain database the optimized run must emit
-  // the path combinations directly — zero conditional trees — and match
-  // the naive recursion exactly.
+  // at the root. On a single-chain database the run must emit the path
+  // combinations directly — zero conditional trees — and match the
+  // brute-force reference exactly.
   TransactionDatabase db;
   for (int repeat = 0; repeat < 2; ++repeat) {
     db.Add(std::vector<ItemId>{0});
@@ -391,16 +391,10 @@ TEST(MinerPropertiesTest, FpGrowthAppliesSinglePathFastPathAtRoot) {
   MiningParams params;
   params.min_support = 0.25;  // every chain item is frequent
   auto optimized = MineFpGrowth(db, params);
-  FpGrowthOptions naive;
-  naive.single_path_optimization = false;
-  auto recursive = MineFpGrowth(db, params, naive);
   ASSERT_TRUE(optimized.ok());
-  ASSERT_TRUE(recursive.ok());
-  EXPECT_EQ(optimized->itemsets, recursive->itemsets);
   EXPECT_EQ(optimized->itemsets, BruteForceMine(db, params.min_support));
   // The fast path must actually have been taken at the root.
   EXPECT_EQ(optimized->conditional_trees_built, 0u);
-  EXPECT_GT(recursive->conditional_trees_built, 0u);
   // A size cap must hold on the fast path too.
   params.max_itemset_size = 2;
   auto capped = MineFpGrowth(db, params);
@@ -450,29 +444,24 @@ TEST(MinerPropertiesTest, FpGrowthTreeDoesNotDependOnRowOrder) {
   const auto expected = BruteForceMine(database(rows), params.min_support);
   ASSERT_FALSE(expected.empty());
   for (const auto& itemset : expected) EXPECT_LT(itemset.items.back(), 8u);
-  for (bool single_path : {true, false}) {
-    FpGrowthOptions options;
-    options.single_path_optimization = single_path;
-    params.num_threads = 1;
-    auto reference = MineFpGrowth(database(rows), params, options);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(reference->itemsets, expected);
-    EXPECT_GT(reference->conditional_trees_built, 0u);
-    for (size_t threads : {1u, 4u}) {
-      params.num_threads = threads;
-      for (const auto& [name, order] : orders) {
-        auto result = MineFpGrowth(database(*order), params, options);
-        ASSERT_TRUE(result.ok());
-        const std::string where = std::string(name) + " rows, single_path=" +
-                                  std::to_string(single_path) +
-                                  ", threads=" + std::to_string(threads);
-        EXPECT_EQ(result->itemsets, expected) << where;
-        EXPECT_EQ(result->conditional_trees_built,
-                  reference->conditional_trees_built)
-            << where;
-        EXPECT_EQ(result->fp_nodes_allocated, reference->fp_nodes_allocated)
-            << where;
-      }
+  params.num_threads = 1;
+  auto reference = MineFpGrowth(database(rows), params);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->itemsets, expected);
+  EXPECT_GT(reference->conditional_trees_built, 0u);
+  for (size_t threads : {1u, 4u}) {
+    params.num_threads = threads;
+    for (const auto& [name, order] : orders) {
+      auto result = MineFpGrowth(database(*order), params);
+      ASSERT_TRUE(result.ok());
+      const std::string where =
+          std::string(name) + " rows, threads=" + std::to_string(threads);
+      EXPECT_EQ(result->itemsets, expected) << where;
+      EXPECT_EQ(result->conditional_trees_built,
+                reference->conditional_trees_built)
+          << where;
+      EXPECT_EQ(result->fp_nodes_allocated, reference->fp_nodes_allocated)
+          << where;
     }
   }
 }

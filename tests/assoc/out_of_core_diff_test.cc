@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "assoc/apriori.h"
@@ -121,6 +122,35 @@ TEST(OutOfCoreDiffTest, FullResultInvariantAcrossThreadCounts) {
     EXPECT_EQ(serial->partitions_mined, parallel->partitions_mined);
     EXPECT_EQ(serial->bytes_mapped, parallel->bytes_mapped);
   }
+}
+
+/// The phase-2 census as (size, candidates in the union, frequent).
+std::vector<std::tuple<size_t, size_t, size_t>> Census(
+    const MiningResult& result) {
+  std::vector<std::tuple<size_t, size_t, size_t>> census;
+  for (const PassStats& stats : result.passes) {
+    census.emplace_back(stats.pass, stats.candidates, stats.frequent);
+  }
+  return census;
+}
+
+TEST(OutOfCoreDiffTest, CensusPinnedAtThreePartitions) {
+  // The census is fixed by the data, so no change to how phase 2 counts
+  // may move it. Both miners' local mines are exact, so their unions
+  // agree.
+  const auto db = Workload(/*seed=*/63);
+  const auto paths = Partitions(db, "census", 3);
+  MiningParams params;
+  params.min_support = 0.01;
+  const std::vector<std::tuple<size_t, size_t, size_t>> expected = {
+      {1, 96, 90},   {2, 1145, 805}, {3, 1232, 663}, {4, 827, 493},
+      {5, 472, 289}, {6, 185, 97},   {7, 42, 20},    {8, 4, 2}};
+  auto apriori = MineAprioriPartitioned(paths, params);
+  ASSERT_TRUE(apriori.ok());
+  EXPECT_EQ(Census(*apriori), expected);
+  auto fp = MineFpGrowthDiskProjected(paths, params);
+  ASSERT_TRUE(fp.ok());
+  EXPECT_EQ(Census(*fp), expected);
 }
 
 TEST(OutOfCoreDiffTest, MaxItemsetSizeCapMatchesInMemory) {

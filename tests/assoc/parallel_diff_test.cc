@@ -62,23 +62,6 @@ TEST(AprioriParallelDiffTest, HashTreeCountingMatchesSerial) {
   }
 }
 
-TEST(AprioriParallelDiffTest, SubsetLookupCountingMatchesSerial) {
-  auto db = Workload(/*seed=*/42);
-  MiningParams params;
-  params.min_support = 0.015;
-  AprioriOptions options;
-  options.counting = AprioriOptions::CountingMethod::kSubsetLookup;
-  auto serial = MineApriori(db, params, options);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_FALSE(serial->itemsets.empty());
-  for (size_t threads : {2u, 4u}) {
-    params.num_threads = threads;
-    auto parallel = MineApriori(db, params, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectSameResult(*serial, *parallel, threads);
-  }
-}
-
 TEST(AprioriParallelDiffTest, AprioriTidMatchesSerial) {
   auto db = Workload(/*seed=*/43);
   MiningParams params;
@@ -106,23 +89,6 @@ TEST(FpGrowthParallelDiffTest, ConditionalTreeMiningMatchesSerial) {
   for (size_t threads : {2u, 4u}) {
     params.num_threads = threads;
     auto parallel = MineFpGrowth(db, params);
-    ASSERT_TRUE(parallel.ok());
-    ExpectSameResult(*serial, *parallel, threads);
-  }
-}
-
-TEST(FpGrowthParallelDiffTest, NoSinglePathOptimizationMatchesSerial) {
-  auto db = Workload(/*seed=*/46);
-  MiningParams params;
-  params.min_support = 0.0075;
-  FpGrowthOptions options;
-  options.single_path_optimization = false;
-  auto serial = MineFpGrowth(db, params, options);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_FALSE(serial->itemsets.empty());
-  for (size_t threads : {2u, 4u}) {
-    params.num_threads = threads;
-    auto parallel = MineFpGrowth(db, params, options);
     ASSERT_TRUE(parallel.ok());
     ExpectSameResult(*serial, *parallel, threads);
   }

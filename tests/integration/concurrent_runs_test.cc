@@ -11,17 +11,22 @@
 // other thread's work.
 //
 // The trace battery runs each of those six algorithms solo under a trace
-// file and checks that the run span's attached counter args equal the
-// result fields: each run publishes its totals while its span is open.
+// file and checks that the run span's counter args equal the result
+// fields: each run records the totals it publishes while its span is
+// open. A last case traces two of the pairs running concurrently and
+// checks that every span arg is one a solo run records, so no run's arg
+// picks up the other thread's work.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -45,9 +50,10 @@ constexpr size_t kTreeRepeats = 10;
 
 // ------------------------------------------------------------- inputs
 
-core::TransactionDatabase Baskets(uint64_t seed) {
+core::TransactionDatabase Baskets(uint64_t seed,
+                                  size_t num_transactions = 3000) {
   gen::QuestParams params;
-  params.num_transactions = 3000;
+  params.num_transactions = num_transactions;
   auto db = gen::GenerateQuestTransactions(params, seed);
   DMT_CHECK(db.ok());
   return std::move(db).value();
@@ -326,9 +332,9 @@ TEST(ConcurrentRunsTest, SliqPairMatchesSoloRuns) {
 
 // ------------------------------------------------------ trace battery
 
-/// Traces `run` alone into a temp file and returns the file's text.
+/// Traces `run` into a temp file and returns the file's text.
 template <typename Run>
-std::string TraceSolo(const char* file, Run run) {
+std::string Traced(const char* file, Run run) {
   const std::string path = testing::TempDir() + file;
   obs::TraceSink& sink = obs::TraceSink::Global();
   sink.Clear();
@@ -341,24 +347,47 @@ std::string TraceSolo(const char* file, Run run) {
   return text.str();
 }
 
-/// The `counter` arg of the only event named `span` in a trace file (one
-/// event per line), or -1 when the event or the arg is missing.
-int64_t SpanArg(const std::string& trace, const std::string& span,
-                const std::string& counter) {
+/// Every (span name, arg key, value) in a trace file (one event per line).
+std::vector<std::tuple<std::string, std::string, int64_t>> AllSpanArgs(
+    const std::string& trace) {
+  std::vector<std::tuple<std::string, std::string, int64_t>> out;
   std::istringstream lines(trace);
   std::string line;
-  int64_t found = -1;
-  size_t events = 0;
+  const std::string name_key = "\"name\": \"";
+  const std::string args_key = "\"args\": {";
   while (std::getline(lines, line)) {
-    if (line.find("\"name\": \"" + span + "\"") == std::string::npos) {
+    const size_t name_at = line.find(name_key);
+    const size_t args_at = line.find(args_key);
+    if (name_at == std::string::npos || args_at == std::string::npos) {
       continue;
     }
-    ++events;
-    const std::string key = "\"" + counter + "\": ";
-    const size_t at = line.find(key);
-    if (at != std::string::npos) {
-      found = std::stoll(line.substr(at + key.size()));
+    const size_t name_begin = name_at + name_key.size();
+    const std::string name =
+        line.substr(name_begin, line.find('"', name_begin) - name_begin);
+    // The args object: "key": value, "key": value}
+    size_t at = args_at + args_key.size();
+    while (line[at] == '"') {
+      const size_t key_end = line.find('"', at + 1);
+      size_t digits = 0;
+      const int64_t value = std::stoll(line.substr(key_end + 3), &digits);
+      out.emplace_back(name, line.substr(at + 1, key_end - at - 1), value);
+      at = key_end + 3 + digits;
+      if (line.compare(at, 2, ", ") == 0) at += 2;
     }
+  }
+  return out;
+}
+
+/// The `counter` arg of the only event named `span` that carries it, or
+/// -1 when there is no such event or more than one.
+int64_t SpanArg(const std::string& trace, const std::string& span,
+                const std::string& counter) {
+  int64_t found = -1;
+  size_t events = 0;
+  for (const auto& [name, key, value] : AllSpanArgs(trace)) {
+    if (name != span || key != counter) continue;
+    ++events;
+    found = value;
   }
   return events == 1 ? found : -1;
 }
@@ -369,7 +398,7 @@ TEST(ConcurrentRunsTest, SpanArgsEqualResultFields) {
   const auto rows = Rows(1);
 
   assoc::MiningResult fp;
-  std::string trace = TraceSolo("fp_growth.json", [&] { fp = FpGrowth(db); });
+  std::string trace = Traced("fp_growth.json", [&] { fp = FpGrowth(db); });
   EXPECT_EQ(SpanArg(trace, "assoc/fp_growth/mine",
                     "assoc/fp_growth/conditional_trees_built"),
             static_cast<int64_t>(fp.conditional_trees_built));
@@ -378,13 +407,13 @@ TEST(ConcurrentRunsTest, SpanArgsEqualResultFields) {
             static_cast<int64_t>(fp.fp_nodes_allocated));
 
   assoc::MiningResult eclat;
-  trace = TraceSolo("eclat.json", [&] { eclat = Eclat(db); });
+  trace = Traced("eclat.json", [&] { eclat = Eclat(db); });
   EXPECT_EQ(SpanArg(trace, "assoc/eclat/mine",
                     "assoc/eclat/tidset_intersections"),
             static_cast<int64_t>(eclat.tidset_intersections));
 
   cluster::ClusteringResult kmeans;
-  trace = TraceSolo("kmeans.json", [&] { kmeans = KMeans(points); });
+  trace = Traced("kmeans.json", [&] { kmeans = KMeans(points); });
   EXPECT_EQ(SpanArg(trace, "cluster/kmeans/run",
                     "cluster/kmeans/distance_computations"),
             static_cast<int64_t>(kmeans.distance_computations))
@@ -393,7 +422,7 @@ TEST(ConcurrentRunsTest, SpanArgsEqualResultFields) {
             static_cast<int64_t>(kmeans.iterations));
 
   cluster::BirchResult birch;
-  trace = TraceSolo("birch.json", [&] { birch = Birch(points); });
+  trace = Traced("birch.json", [&] { birch = Birch(points); });
   EXPECT_EQ(SpanArg(trace, "cluster/birch/run",
                     "cluster/kmeans/distance_computations"),
             static_cast<int64_t>(birch.clustering.distance_computations));
@@ -401,16 +430,62 @@ TEST(ConcurrentRunsTest, SpanArgsEqualResultFields) {
             static_cast<int64_t>(birch.rebuilds));
 
   Grown cart;
-  trace = TraceSolo("cart.json", [&] { cart = Cart(rows); });
+  trace = Traced("cart.json", [&] { cart = Cart(rows); });
   EXPECT_EQ(SpanArg(trace, "tree/greedy/build", "tree/greedy/split_scan_rows"),
             static_cast<int64_t>(cart.stats.split_scan_rows));
   EXPECT_EQ(SpanArg(trace, "tree/greedy/build", "tree/greedy/nodes"),
             static_cast<int64_t>(cart.tree.num_nodes()));
 
   Grown sliq;
-  trace = TraceSolo("sliq.json", [&] { sliq = Sliq(rows); });
+  trace = Traced("sliq.json", [&] { sliq = Sliq(rows); });
   EXPECT_EQ(SpanArg(trace, "tree/sliq/build", "tree/sliq/split_scan_rows"),
             static_cast<int64_t>(sliq.stats.split_scan_rows));
+}
+
+TEST(ConcurrentRunsTest, ConcurrentSpanArgsAreEachRunsOwnTotals) {
+  // Two FP-growth runs on different inputs publish different totals to
+  // the same counters; BIRCH and k-means share the k-means distance
+  // counter. Every arg of the concurrent trace must be a solo run's.
+  const auto small = Baskets(1);
+  const auto large = Baskets(2, 6000);
+  const auto points1 = Points(1);
+  const auto points2 = Points(2);
+  auto fp_small = [&] { return FpGrowth(small); };
+  auto fp_large = [&] { return FpGrowth(large); };
+  auto birch = [&] { return Birch(points1); };
+  auto kmeans = [&] { return KMeans(points2); };
+
+  std::set<std::tuple<std::string, std::string, int64_t>> solo;
+  const std::string solo_traces[] = {
+      Traced("solo_fp_small.json", fp_small),
+      Traced("solo_fp_large.json", fp_large),
+      Traced("solo_birch.json", birch),
+      Traced("solo_kmeans.json", kmeans)};
+  for (const std::string& trace : solo_traces) {
+    for (const auto& arg : AllSpanArgs(trace)) solo.insert(arg);
+  }
+
+  const auto concurrent = AllSpanArgs(Traced("concurrent.json", [&] {
+    RunConcurrently(kMiningRepeats, fp_small, fp_large);
+    RunConcurrently(kMiningRepeats, birch, kmeans);
+  }));
+  size_t fp_args = 0;
+  size_t wrong = 0;
+  std::string first;
+  for (const auto& arg : concurrent) {
+    const auto& [span, key, value] = arg;
+    if (span == "assoc/fp_growth/mine") ++fp_args;
+    if (solo.contains(arg)) continue;
+    if (wrong++ == 0) {
+      first = span + " " + key + " = " + std::to_string(value);
+    }
+  }
+  // Two args (trees, nodes) on each of the 2 x kMiningRepeats mine spans.
+  EXPECT_EQ(fp_args, 4 * kMiningRepeats);
+  EXPECT_EQ(wrong, 0u) << wrong << " of " << concurrent.size()
+                       << " concurrent span args match no solo run, "
+                          "first: "
+                       << first;
 }
 
 }  // namespace

@@ -63,20 +63,6 @@ TEST(SpanTest, AggregatesGroupByName) {
   EXPECT_GE(aggregates[1].cpu_ms, 0.0);
 }
 
-TEST(SpanTest, AttachCounterRecordsDeltaNotTotal) {
-  FreshCollection();
-  Counter counter("test/trace/attached");
-  counter.Add(50);  // pre-span growth must not appear in the arg
-  {
-    Span span("test/trace/with_counter");
-    span.AttachCounter(counter);
-    counter.Add(7);
-  }
-  // The delta lands in the flushed JSON args; check via Flush below
-  // through the aggregate path: one event was recorded.
-  EXPECT_EQ(TraceSink::Global().event_count(), 1u);
-}
-
 TEST(TraceSinkTest, StopFlushesChromeTraceJson) {
   const std::string path = testing::TempDir() + "dmt_trace_test.json";
   TraceSink::Global().Clear();
@@ -85,8 +71,8 @@ TEST(TraceSinkTest, StopFlushesChromeTraceJson) {
   {
     Span span("test/trace/flushed");
     span.AddArg("k", 3);
-    span.AttachCounter(counter);
     counter.Add(11);
+    span.AddArg(counter.name(), 11);
   }
   TraceSink::Global().Stop();
   const std::string json = ReadAll(path);
@@ -95,7 +81,7 @@ TEST(TraceSinkTest, StopFlushesChromeTraceJson) {
             std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"k\": 3"), std::string::npos);
-  // Attached counter serialized as its delta across the span.
+  // A published total serialized as an arg keyed by the counter's name.
   EXPECT_NE(json.find("\"test/trace/flush_counter\": 11"),
             std::string::npos);
   EXPECT_NE(json.find("\"dmtCounters\""), std::string::npos);

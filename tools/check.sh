@@ -4,10 +4,12 @@
 # ThreadSanitizer build
 # that runs the thread-pool unit tests and the serial-vs-parallel
 # differential tests for every parallelized miner (plus the out-of-core
-# differential and container-corruption tests, and the concurrent-runs
-# test), then an AddressSanitizer + UndefinedBehaviorSanitizer build that
-# re-runs the io corruption battery, the association miner and rule
-# tests, and the tree and cluster differential tests, then a bench smoke
+# differential and container-corruption tests, the concurrent-runs test,
+# and the support counter at 2 and 7 threads), then an AddressSanitizer +
+# UndefinedBehaviorSanitizer build that re-runs the io corruption
+# battery, the association miner, rule, hash-tree / support-counter,
+# sampling and streaming tests, and the tree and cluster differential
+# tests, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -62,6 +64,7 @@ TSAN_TARGETS=(
   obs_metrics_test
   obs_histogram_test
   obs_expose_test
+  assoc_hash_tree_test
   assoc_parallel_diff_test
   assoc_out_of_core_diff_test
   assoc_quant_stream_diff_test
@@ -84,6 +87,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # recorders — the histogram metric's whole concurrency surface.
 "$ROOT/build-tsan/tests/obs/obs_histogram_test"
 "$ROOT/build-tsan/tests/obs/obs_expose_test"
+# The support counter's chunked scan, at 2 and 7 threads.
+"$ROOT/build-tsan/tests/assoc/assoc_hash_tree_test"
 "$ROOT/build-tsan/tests/assoc/assoc_parallel_diff_test"
 "$ROOT/build-tsan/tests/assoc/assoc_out_of_core_diff_test"
 "$ROOT/build-tsan/tests/assoc/assoc_quant_stream_diff_test"
@@ -119,6 +124,10 @@ ASAN_TARGETS=(
   assoc_parallel_diff_test
   assoc_out_of_core_diff_test
   assoc_rules_test
+  assoc_hash_tree_test
+  assoc_sampling_test
+  assoc_streaming_test
+  assoc_quant_stream_diff_test
   tree_parallel_diff_test
   cluster_parallel_diff_test
 )
@@ -148,6 +157,13 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-asan/tests/assoc/assoc_parallel_diff_test"
 "$ROOT/build-asan/tests/assoc/assoc_out_of_core_diff_test"
 "$ROOT/build-asan/tests/assoc/assoc_rules_test"
+# The support counter's hand-indexed item -> id table and the hash
+# trees' id-indexed stamps, through every caller: Toivonen's verify, the
+# streaming window check and the quantitative/streaming differential.
+"$ROOT/build-asan/tests/assoc/assoc_hash_tree_test"
+"$ROOT/build-asan/tests/assoc/assoc_sampling_test"
+"$ROOT/build-asan/tests/assoc/assoc_streaming_test"
+"$ROOT/build-asan/tests/assoc/assoc_quant_stream_diff_test"
 # The tree builder's hand-indexed presort partitions against the
 # brute-force split oracle, and k-means' Hamerly bound arrays.
 "$ROOT/build-asan/tests/tree/tree_parallel_diff_test"
