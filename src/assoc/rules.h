@@ -57,6 +57,8 @@ struct RuleParams {
 /// closed: a rule whose antecedent or consequent has no entry, or a zero
 /// support, in `mining` makes the call return InvalidArgument naming the
 /// itemset and the subset (a hand-built or loaded result may lack them).
+/// It must also hold each itemset once; a second entry for one itemset
+/// is an InvalidArgument naming it.
 core::Result<std::vector<AssociationRule>> GenerateRules(
     const MiningResult& mining, size_t num_transactions,
     const RuleParams& params);

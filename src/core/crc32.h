@@ -1,6 +1,8 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte ranges — the
 // integrity check of the binary container format. Incremental: feed the
 // previous return value back as `seed` to checksum discontiguous ranges.
+// Slicing-by-8: eight table lookups per 8-byte block, a byte loop for the
+// tail; the same values as zlib's crc32().
 #ifndef DMT_CORE_CRC32_H_
 #define DMT_CORE_CRC32_H_
 

@@ -49,6 +49,10 @@ class ByteWriter {
     buffer_.insert(buffer_.end(), bytes, bytes + size);
   }
 
+  /// Sizes the buffer for `bytes` in total, so a stream whose size is
+  /// known up front is written without reallocating.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+
   std::span<const std::byte> bytes() const { return buffer_; }
 
  private:

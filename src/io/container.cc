@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "core/crc32.h"
 #include "core/timer.h"
@@ -43,10 +44,8 @@ uint64_t AlignUp(uint64_t value) {
 
 }  // namespace
 
-void ContainerWriter::AddSection(uint32_t id,
-                                 std::span<const std::byte> payload) {
-  sections_.emplace_back(
-      id, std::vector<std::byte>(payload.begin(), payload.end()));
+void ContainerWriter::AddSection(uint32_t id, ByteWriter&& stream) {
+  sections_.push_back({id, std::move(stream), {}});
 }
 
 std::vector<std::byte> ContainerWriter::Serialize() const {
@@ -60,8 +59,8 @@ std::vector<std::byte> ContainerWriter::Serialize() const {
   uint64_t cursor =
       sizeof(FileHeader) + sections_.size() * sizeof(SectionEntry);
   for (size_t s = 0; s < sections_.size(); ++s) {
-    const auto& [id, payload] = sections_[s];
-    entries[s].id = id;
+    const std::span<const std::byte> payload = sections_[s].payload();
+    entries[s].id = sections_[s].id;
     entries[s].offset = cursor;
     entries[s].length = payload.size();
     entries[s].crc32 = core::Crc32(payload);
@@ -81,10 +80,11 @@ std::vector<std::byte> ContainerWriter::Serialize() const {
   std::memcpy(out.data() + sizeof(header), entries.data(),
               entries.size() * sizeof(SectionEntry));
   for (size_t s = 0; s < sections_.size(); ++s) {
+    const std::span<const std::byte> payload = sections_[s].payload();
     // An empty section's data() may be null, which memcpy must not get.
-    if (sections_[s].second.empty()) continue;
-    std::memcpy(out.data() + entries[s].offset, sections_[s].second.data(),
-                sections_[s].second.size());
+    if (payload.empty()) continue;
+    std::memcpy(out.data() + entries[s].offset, payload.data(),
+                payload.size());
   }
   return out;
 }

@@ -31,11 +31,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "core/mmap_file.h"
 #include "core/status.h"
+#include "io/bytes.h"
 
 namespace dmt::io {
 
@@ -89,31 +90,48 @@ static_assert(sizeof(SectionEntry) == 32,
               "SectionEntry must pack to 32 bytes");
 
 /// Assembles a container in memory and writes it atomically. Sections are
-/// laid out in AddSection order; ids must be unique within one file.
+/// laid out in AddSection/AddArraySection order; ids must be unique within
+/// one file. Each payload is copied once, into Serialize's buffer: streams
+/// are moved in and arrays are borrowed.
 class ContainerWriter {
  public:
   explicit ContainerWriter(ArtifactType type) : type_(type) {}
 
-  /// Adds a section payload (copied).
-  void AddSection(uint32_t id, std::span<const std::byte> payload);
+  /// Adds a section whose payload is a finished stream, moved in.
+  void AddSection(uint32_t id, ByteWriter&& stream);
 
   /// Adds a section holding a raw array of trivially copyable elements.
+  /// The array is not copied: `values` must stay alive and unchanged until
+  /// the last Serialize or WriteToFile call.
   template <typename T>
   void AddArraySection(uint32_t id, std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
-    AddSection(id, std::as_bytes(values));
+    sections_.push_back({id, ByteWriter(), std::as_bytes(values)});
   }
+  /// A temporary array would be gone before the write.
+  template <typename T>
+  void AddArraySection(uint32_t id, std::vector<T>&& values) = delete;
 
   /// Serializes header + table + payloads and writes them via
   /// core::WriteFileBytes (atomic rename).
   core::Status WriteToFile(const std::string& path) const;
 
-  /// Serialized container bytes (exposed for tests that corrupt them).
+  /// Serialized container bytes: the one layout routine, which
+  /// WriteToFile writes and tests corrupt.
   std::vector<std::byte> Serialize() const;
 
  private:
+  struct Section {
+    uint32_t id;
+    ByteWriter stream;                 // AddSection's payload
+    std::span<const std::byte> array;  // AddArraySection's, borrowed
+    std::span<const std::byte> payload() const {
+      return stream.bytes().empty() ? array : stream.bytes();
+    }
+  };
+
   ArtifactType type_;
-  std::vector<std::pair<uint32_t, std::vector<std::byte>>> sections_;
+  std::vector<Section> sections_;
 };
 
 /// Maps a container file and validates the full envelope eagerly (see the

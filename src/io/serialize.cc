@@ -68,7 +68,7 @@ core::Status WriteTransactionDatabase(const core::TransactionDatabase& db,
   meta.PutU64(db.size());
   meta.PutU64(db.total_items());
   meta.PutU64(db.item_universe());
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, std::move(meta));
   writer.AddArraySection<uint64_t>(kOffsets, db.offsets());
   writer.AddArraySection<core::ItemId>(kItems, db.items());
   return WriteContainer(writer, path);
@@ -191,7 +191,7 @@ core::Status WriteDataset(const core::Dataset& dataset,
       }
     }
   }
-  writer.AddSection(kMeta, schema.bytes());
+  writer.AddSection(kMeta, std::move(schema));
   writer.AddArraySection<uint32_t>(kLabels, dataset.labels());
   for (size_t a = 0; a < dataset.num_attributes(); ++a) {
     const uint32_t id = kColumnBase + static_cast<uint32_t>(a);
@@ -303,7 +303,7 @@ core::Status WriteMiningResult(const assoc::MiningResult& result,
     meta.PutU64(pass.candidates);
     meta.PutU64(pass.frequent);
   }
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, std::move(meta));
   writer.AddArraySection<uint64_t>(kOffsets, std::span(offsets));
   writer.AddArraySection<core::ItemId>(kItems, std::span(items));
   writer.AddArraySection<uint32_t>(kSupports, std::span(supports));
@@ -366,12 +366,25 @@ core::Result<assoc::MiningResult> LoadMiningResult(const std::string& path) {
 
 namespace {
 
+/// A rule's record without its items: the two array counts, the support
+/// count and the five measures.
+constexpr size_t kRuleRecordBytes =
+    2 * sizeof(uint64_t) + sizeof(uint32_t) + 5 * sizeof(double);
+
 /// Shared rule-stream encoding for plain and quantitative rule sets: a
 /// u64 count followed by one record per rule — the two item arrays, the
 /// absolute support count, and all five measures (supp, conf, lift,
-/// conviction, leverage) as raw IEEE-754 bit patterns.
+/// conviction, leverage) as raw IEEE-754 bit patterns. The stream is
+/// sized for all of it before the first rule is written.
 void AppendRuleStream(const std::vector<assoc::AssociationRule>& rules,
                       ByteWriter* stream) {
+  size_t bytes = stream->bytes().size() + sizeof(uint64_t);
+  for (const assoc::AssociationRule& rule : rules) {
+    bytes += kRuleRecordBytes + (rule.antecedent.size() +
+                                 rule.consequent.size()) *
+                                    sizeof(core::ItemId);
+  }
+  stream->Reserve(bytes);
   stream->PutU64(rules.size());
   for (const assoc::AssociationRule& rule : rules) {
     stream->PutArray<core::ItemId>(rule.antecedent);
@@ -387,12 +400,8 @@ void AppendRuleStream(const std::vector<assoc::AssociationRule>& rules,
 
 core::Result<std::vector<assoc::AssociationRule>> ReadRuleStream(
     ByteReader* stream) {
-  // A rule holds at least its two array counts, its support count and
-  // its five measures.
   DMT_ASSIGN_OR_RETURN(uint64_t num_rules,
-                       stream->ReadCount<uint64_t>(
-                           2 * sizeof(uint64_t) + sizeof(uint32_t) +
-                           5 * sizeof(double)));
+                       stream->ReadCount<uint64_t>(kRuleRecordBytes));
   std::vector<assoc::AssociationRule> rules(num_rules);
   for (assoc::AssociationRule& rule : rules) {
     DMT_ASSIGN_OR_RETURN(
@@ -418,7 +427,7 @@ core::Status WriteRuleSet(const std::vector<assoc::AssociationRule>& rules,
   ContainerWriter writer(ArtifactType::kRuleSet);
   ByteWriter stream;
   AppendRuleStream(rules, &stream);
-  writer.AddSection(kRules, stream.bytes());
+  writer.AddSection(kRules, std::move(stream));
   return WriteContainer(writer, path);
 }
 
@@ -446,7 +455,7 @@ core::Status WriteQuantRuleSet(const assoc::QuantRuleSet& rule_set,
   meta.PutF64(rule_set.partial_completeness);
   meta.PutU64(rule_set.itemsets_mined);
   meta.PutU64(rule_set.itemsets_attribute_distinct);
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, std::move(meta));
 
   ByteWriter items;
   items.PutU64(rule_set.items.size());
@@ -460,11 +469,11 @@ core::Status WriteQuantRuleSet(const assoc::QuantRuleSet& rule_set,
     items.PutU32(item.last_bin);
     items.PutString(item.label);
   }
-  writer.AddSection(kQuantItems, items.bytes());
+  writer.AddSection(kQuantItems, std::move(items));
 
   ByteWriter rules;
   AppendRuleStream(rule_set.rules, &rules);
-  writer.AddSection(kQuantRules, rules.bytes());
+  writer.AddSection(kQuantRules, std::move(rules));
   return WriteContainer(writer, path);
 }
 
@@ -540,7 +549,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
   ContainerWriter writer(ArtifactType::kDecisionTree);
   ByteWriter meta;
   meta.PutU64(tree.num_nodes());
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, std::move(meta));
 
   ByteWriter nodes;
   for (size_t n = 0; n < tree.num_nodes(); ++n) {
@@ -554,7 +563,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
     nodes.PutArray<uint32_t>(node.class_counts);
     nodes.PutArray<uint32_t>(node.children);
   }
-  writer.AddSection(kNodes, nodes.bytes());
+  writer.AddSection(kNodes, std::move(nodes));
 
   ByteWriter names;
   const auto& attribute_names =
@@ -573,7 +582,7 @@ core::Status WriteDecisionTree(const tree::DecisionTree& tree,
   }
   names.PutU32(static_cast<uint32_t>(class_names.size()));
   for (const std::string& name : class_names) names.PutString(name);
-  writer.AddSection(kNames, names.bytes());
+  writer.AddSection(kNames, std::move(names));
   return WriteContainer(writer, path);
 }
 
@@ -747,7 +756,7 @@ core::Status WriteKMeansModel(const cluster::ClusteringResult& model,
   meta.PutU64(model.iterations);
   meta.PutU64(model.distance_computations);
   meta.PutF64(model.sse);
-  writer.AddSection(kMeta, meta.bytes());
+  writer.AddSection(kMeta, std::move(meta));
   writer.AddArraySection<double>(kCenters, std::span(model.centers.data()));
   writer.AddArraySection<uint32_t>(kAssignments,
                                    std::span(model.assignments));

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
+#include <map>
 
 #include "assoc/apriori.h"
+#include "assoc/fp_growth.h"
 #include "core/rng.h"
+#include "gen/quest.h"
 
 namespace dmt::assoc {
 namespace {
@@ -233,6 +238,158 @@ TEST(RulesTest, RejectsResultsThatAreNotDownwardClosed) {
   grown.itemsets = {{{0, 1, 2}, 4}, {{0}, 10}, {{1}, 10},
                     {{0, 1}, 10}, {{0, 2}, 4}, {{1, 2}, 4}};
   expect_rejected(grown, "{0, 1, 2}", "{2}");
+}
+
+TEST(RulesTest, RejectsDuplicateItemsets) {
+  // {0, 1} twice would give every rule of it twice, with contradictory
+  // measures ({0} => {1} at confidence 0.7 and again at 0.5).
+  MiningResult mining;
+  mining.itemsets = {{{0}, 10}, {{1}, 10}, {{0, 1}, 5}, {{0, 1}, 7}};
+  auto rules = GenerateRules(mining, 20, RuleParams());
+  ASSERT_FALSE(rules.ok());
+  EXPECT_EQ(rules.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(rules.status().message().find("itemset {0, 1} appears twice"),
+            std::string::npos)
+      << rules.status().message();
+  // A duplicated singleton is caught too, though no rule has it as its
+  // own itemset.
+  mining.itemsets = {{{0}, 10}, {{1}, 10}, {{0}, 10}, {{0, 1}, 5}};
+  EXPECT_EQ(GenerateRules(mining, 20, RuleParams()).status().code(),
+            core::StatusCode::kInvalidArgument);
+}
+
+/// Every rule of `mining` by brute force: each non-empty proper subset of
+/// each itemset is a consequent, the measures follow the formulas that
+/// rules.h documents, and the rules are filtered and sorted as documented.
+std::vector<AssociationRule> BruteForceRules(const MiningResult& mining,
+                                             size_t num_transactions,
+                                             const RuleParams& params) {
+  std::map<Itemset, uint32_t> supports;
+  for (const FrequentItemset& itemset : mining.itemsets) {
+    supports.emplace(itemset.items, itemset.support);
+  }
+  const double n = static_cast<double>(num_transactions);
+  std::vector<AssociationRule> rules;
+  for (const FrequentItemset& itemset : mining.itemsets) {
+    const size_t k = itemset.items.size();
+    if (k < 2) continue;
+    for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << k); ++mask) {
+      AssociationRule rule;
+      for (size_t p = 0; p < k; ++p) {
+        ((mask >> p) & 1 ? rule.consequent : rule.antecedent)
+            .push_back(itemset.items[p]);
+      }
+      const double antecedent_fraction =
+          static_cast<double>(supports.at(rule.antecedent)) / n;
+      const double consequent_fraction =
+          static_cast<double>(supports.at(rule.consequent)) / n;
+      rule.support_count = itemset.support;
+      rule.support = static_cast<double>(itemset.support) / n;
+      rule.confidence =
+          static_cast<double>(itemset.support) /
+          static_cast<double>(supports.at(rule.antecedent));
+      rule.lift = rule.confidence / consequent_fraction;
+      if (rule.confidence + 1e-12 < params.min_confidence ||
+          rule.lift + 1e-12 < params.min_lift) {
+        continue;
+      }
+      rule.conviction = 1.0 - rule.confidence <= 1e-12
+                            ? 1e12
+                            : (1.0 - consequent_fraction) /
+                                  (1.0 - rule.confidence);
+      rule.leverage = rule.support - antecedent_fraction * consequent_fraction;
+      rules.push_back(std::move(rule));
+    }
+  }
+  std::sort(rules.begin(), rules.end(),
+            [](const AssociationRule& a, const AssociationRule& b) {
+              if (a.confidence != b.confidence) {
+                return a.confidence > b.confidence;
+              }
+              if (a.lift != b.lift) return a.lift > b.lift;
+              if (a.antecedent != b.antecedent) {
+                return a.antecedent < b.antecedent;
+              }
+              return a.consequent < b.consequent;
+            });
+  return rules;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SameRule(const AssociationRule& a, const AssociationRule& b) {
+  return a.antecedent == b.antecedent && a.consequent == b.consequent &&
+         a.support_count == b.support_count &&
+         SameBits(a.support, b.support) &&
+         SameBits(a.confidence, b.confidence) && SameBits(a.lift, b.lift) &&
+         SameBits(a.conviction, b.conviction) &&
+         SameBits(a.leverage, b.leverage);
+}
+
+TEST(RulesTest, MatchesBruteForceEnumeration) {
+  // (database, mining result) pairs: random databases of several noise
+  // densities over 12 items, with three overlapping planted patterns so
+  // that every threshold pair below keeps some rules, and T10.I4.D10K at
+  // 0.5%.
+  const std::vector<std::vector<ItemId>> planted = {
+      {0, 1, 2, 3}, {3, 4, 5}, {6, 7, 8, 9, 10}};
+  std::vector<std::pair<TransactionDatabase, MiningResult>> workloads;
+  for (const auto& [seed, density] :
+       {std::pair{3, 0.05}, std::pair{11, 0.15}, std::pair{23, 0.25}}) {
+    core::Rng rng(seed);
+    TransactionDatabase db;
+    for (int t = 0; t < 200; ++t) {
+      std::vector<bool> in(12, false);
+      for (ItemId item = 0; item < 12; ++item) in[item] = rng.Bernoulli(density);
+      for (const std::vector<ItemId>& pattern : planted) {
+        if (!rng.Bernoulli(0.35)) continue;
+        for (ItemId item : pattern) in[item] = in[item] || rng.Bernoulli(0.95);
+      }
+      std::vector<ItemId> items;
+      for (ItemId item = 0; item < 12; ++item) {
+        if (in[item]) items.push_back(item);
+      }
+      db.Add(items);
+    }
+    MiningResult mining = MineAll(db, 0.08);
+    workloads.emplace_back(std::move(db), std::move(mining));
+  }
+  {
+    auto quest = gen::GenerateQuestTransactions(gen::QuestParams(), 1);
+    ASSERT_TRUE(quest.ok());
+    MiningParams params;
+    params.min_support = 0.005;
+    auto mining = MineFpGrowth(*quest, params);
+    ASSERT_TRUE(mining.ok());
+    workloads.emplace_back(std::move(quest).value(),
+                           std::move(mining).value());
+  }
+  for (const auto& [db, mining] : workloads) {
+    for (double min_confidence : {0.1, 0.5, 0.9}) {
+      for (double min_lift : {0.0, 1.2}) {
+        SCOPED_TRACE(testing::Message()
+                     << db.size() << " transactions, " << mining.itemsets.size()
+                     << " itemsets, min_confidence " << min_confidence
+                     << ", min_lift " << min_lift);
+        RuleParams params;
+        params.min_confidence = min_confidence;
+        params.min_lift = min_lift;
+        auto rules = GenerateRules(mining, db.size(), params);
+        ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+        const std::vector<AssociationRule> want =
+            BruteForceRules(mining, db.size(), params);
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(rules->size(), want.size());
+        for (size_t r = 0; r < want.size(); ++r) {
+          ASSERT_TRUE(SameRule((*rules)[r], want[r]))
+              << "rule " << r << ": got " << FormatRule((*rules)[r])
+              << ", want " << FormatRule(want[r]);
+        }
+      }
+    }
+  }
 }
 
 TEST(RulesTest, RuleExactlyAtConfidenceAndLiftThresholdIncluded) {

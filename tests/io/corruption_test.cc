@@ -216,7 +216,7 @@ TEST(CorruptionTest, SemanticallyMalformedPayloadIsRejected) {
   const std::vector<uint64_t> offsets = {0, 2, 1};  // decreasing
   const std::vector<uint32_t> items = {1, 7, 3};
   ContainerWriter writer(ArtifactType::kTransactionDatabase);
-  writer.AddSection(1, meta.bytes());
+  writer.AddSection(1, std::move(meta));
   writer.AddArraySection<uint64_t>(2, offsets);
   writer.AddArraySection<uint32_t>(3, items);
   const std::string path = TempPath("semantic.dmtb");
@@ -238,7 +238,7 @@ TEST(CorruptionTest, UnsortedTransactionIsRejected) {
   const std::vector<uint64_t> offsets = {0, 3};
   const std::vector<uint32_t> items = {5, 2, 7};  // not increasing
   ContainerWriter writer(ArtifactType::kTransactionDatabase);
-  writer.AddSection(1, meta.bytes());
+  writer.AddSection(1, std::move(meta));
   writer.AddArraySection<uint64_t>(2, offsets);
   writer.AddArraySection<uint32_t>(3, items);
   const std::string path = TempPath("unsorted.dmtb");
@@ -332,9 +332,9 @@ TEST(CorruptionTest, TreeWithDanglingChildIsRejected) {
   names.PutU32(0);
   names.PutU32(0);
   ContainerWriter writer(ArtifactType::kDecisionTree);
-  writer.AddSection(1, meta.bytes());
-  writer.AddSection(2, nodes.bytes());
-  writer.AddSection(3, names.bytes());
+  writer.AddSection(1, std::move(meta));
+  writer.AddSection(2, std::move(nodes));
+  writer.AddSection(3, std::move(names));
   const std::string path = TempPath("dangling_tree.dmtb");
   ASSERT_TRUE(writer.WriteToFile(path).ok());
   auto loaded = LoadDecisionTree(path);
@@ -413,9 +413,9 @@ std::string WriteRawTree(const std::string& name,
     nodes.PutArray<uint32_t>(node.children);
   }
   ContainerWriter writer(ArtifactType::kDecisionTree);
-  writer.AddSection(1, meta.bytes());
-  writer.AddSection(2, nodes.bytes());
-  writer.AddSection(3, names.bytes());
+  writer.AddSection(1, std::move(meta));
+  writer.AddSection(2, std::move(nodes));
+  writer.AddSection(3, ByteWriter(names));
   const std::string path = TempPath("raw_tree_" + name + ".dmtb");
   DMT_CHECK(writer.WriteToFile(path).ok());
   return path;
@@ -590,9 +590,10 @@ TEST(CorruptionTest, TreeNameCountsAreBoundedBySection) {
 TEST(CorruptionTest, DatasetSchemaCountsAreBoundedBySection) {
   auto write = [](const std::string& name, const ByteWriter& schema) {
     ContainerWriter writer(ArtifactType::kDataset);
-    writer.AddSection(1, schema.bytes());
-    writer.AddArraySection<uint32_t>(2, std::vector<uint32_t>{0});
-    writer.AddArraySection<uint32_t>(16, std::vector<uint32_t>{0});
+    const std::vector<uint32_t> zero = {0};
+    writer.AddSection(1, ByteWriter(schema));
+    writer.AddArraySection<uint32_t>(2, zero);
+    writer.AddArraySection<uint32_t>(16, zero);
     const std::string path = TempPath("huge_schema_" + name + ".dmtb");
     DMT_CHECK(writer.WriteToFile(path).ok());
     return path;
@@ -628,7 +629,7 @@ TEST(CorruptionTest, KMeansAssignmentOutOfRangeIsRejected) {
   const std::vector<double> centers = {0, 0, 1, 1};
   const std::vector<uint32_t> assignments = {0, 1, 2};  // 2 >= k
   ContainerWriter writer(ArtifactType::kKMeansModel);
-  writer.AddSection(1, meta.bytes());
+  writer.AddSection(1, std::move(meta));
   writer.AddArraySection<double>(2, centers);
   writer.AddArraySection<uint32_t>(3, assignments);
   const std::string path = TempPath("bad_kmeans.dmtb");

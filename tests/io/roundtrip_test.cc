@@ -221,25 +221,31 @@ TEST(MiningResultRoundtripTest, RulesFromALoadedPartialResultFailCleanly) {
       << rules.status().message();
 }
 
-TEST(RuleSetRoundtripTest, LoadedRulesAreIdentical) {
+/// The rules of QuestWorkload(41) at 1% support and 0.5 confidence.
+std::vector<assoc::AssociationRule> QuestRules() {
   const auto db = QuestWorkload(41);
   assoc::MiningParams params;
   params.min_support = 0.01;
   auto mined = assoc::MineApriori(db, params);
-  ASSERT_TRUE(mined.ok());
+  DMT_CHECK(mined.ok());
   assoc::RuleParams rule_params;
   rule_params.min_confidence = 0.5;
   auto rules = assoc::GenerateRules(*mined, db.size(), rule_params);
-  ASSERT_TRUE(rules.ok());
-  ASSERT_FALSE(rules->empty());
+  DMT_CHECK(rules.ok());
+  return std::move(rules).value();
+}
+
+TEST(RuleSetRoundtripTest, LoadedRulesAreIdentical) {
+  const std::vector<assoc::AssociationRule> rules = QuestRules();
+  ASSERT_FALSE(rules.empty());
 
   const std::string path = TempPath("rules.dmtb");
-  ASSERT_TRUE(WriteRuleSet(*rules, path).ok());
+  ASSERT_TRUE(WriteRuleSet(rules, path).ok());
   auto loaded = LoadRuleSet(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), rules->size());
-  for (size_t r = 0; r < rules->size(); ++r) {
-    const auto& want = (*rules)[r];
+  ASSERT_EQ(loaded->size(), rules.size());
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const auto& want = rules[r];
     const auto& got = (*loaded)[r];
     EXPECT_EQ(got.antecedent, want.antecedent);
     EXPECT_EQ(got.consequent, want.consequent);
@@ -519,6 +525,25 @@ TEST(GoldenBytesTest, WritersProducePinnedBytes) {
   model.distance_computations = 18;
   ExpectPinnedBytes("kmeans", model, 0x9680119eu, WriteKMeansModel,
                     LoadKMeansModel);
+}
+
+// The same pins at size: a rule file of thousands of rules (364 KiB) and a
+// 1.4 MiB database run the CRC through many 8-byte blocks and a tail on
+// every section, and pin the rule stream that is sized before it is
+// written.
+TEST(GoldenBytesTest, LargeWritersProducePinnedBytes) {
+  const std::vector<assoc::AssociationRule> rules = QuestRules();
+  ASSERT_GT(rules.size(), 1000u);
+  ExpectPinnedBytes("quest_rules", rules, 0x45bc4094u, WriteRuleSet,
+                    LoadRuleSet);
+
+  gen::QuestParams params;
+  params.num_transactions = 30000;
+  auto db = gen::GenerateQuestTransactions(params, 43);
+  ASSERT_TRUE(db.ok());
+  ASSERT_GE(db->total_items() * sizeof(core::ItemId), 1u << 20);
+  ExpectPinnedBytes("quest_txn", *db, 0xae28e45cu, WriteTransactionDatabase,
+                    LoadTransactionDatabase);
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 # differential and container-corruption tests, the concurrent-runs test,
 # and the support counter at 2 and 7 threads), then an AddressSanitizer +
 # UndefinedBehaviorSanitizer build that re-runs the io corruption
-# battery, the association miner, rule, hash-tree / support-counter,
-# sampling and streaming tests, and the tree and cluster differential
-# tests, then a bench smoke
+# battery, the CRC-32 unit test, the association miner, rule, hash-tree /
+# support-counter, sampling and streaming tests, and the tree and cluster
+# differential tests, then a bench smoke
 # stage that runs the cluster, tree, association, and io benches at a
 # tiny configuration and checks the emitted --json records parse
 # (including the threads / work-counter / partition columns), a
@@ -17,9 +17,11 @@
 # the emitted Chrome trace_event JSON, a bench_compare regression gate
 # diffing the smoke records against the checked-in bench/baselines
 # (deterministic work counters must match exactly), and a serving smoke
-# that drives dmtd end to end — including a client that hangs up unread,
-# bad numeric flags, a cyclic tree container, the --metrics-path
-# Prometheus dump and the --slow-query-us structured log.
+# that drives dmtd end to end — including Python's zlib.crc32 recomputing
+# the header and section CRCs of the demo containers the library wrote, a
+# client that hangs up unread, bad numeric flags, a cyclic tree container
+# written in Python, the --metrics-path Prometheus dump and the
+# --slow-query-us structured log.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -114,6 +116,7 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
 ASAN_TARGETS=(
   io_corruption_test
   io_roundtrip_test
+  core_crc32_test
   core_kernels_test
   serve_protocol_test
   serving_diff_test
@@ -137,6 +140,8 @@ export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ROOT/build-asan/tests/io/io_corruption_test"
 "$ROOT/build-asan/tests/io/io_roundtrip_test"
+# The CRC's 8-byte loads at every length and start offset, and its tail.
+"$ROOT/build-asan/tests/core/core_crc32_test"
 # The kernels test sweeps every level's tails and alignments, which is
 # exactly where a vector over-read would hide.
 "$ROOT/build-asan/tests/core/core_kernels_test"
@@ -344,6 +349,38 @@ DEMO_DIR="$SMOKE_DIR/dmtd_demo"
 for artifact in tree.dmt train.dmt kmeans.dmt rules.dmt; do
   test -s "$DEMO_DIR/$artifact"
 done
+# An independent CRC on files the library wrote: Python's zlib.crc32
+# recomputes every demo container's header CRC and section CRCs (the
+# cyclic-tree probe below checks the other direction, a file written in
+# Python and read by the library).
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$DEMO_DIR"/*.dmt <<'PY'
+import os, struct, sys, zlib
+for path in sys.argv[1:]:
+    data = open(path, "rb").read()
+    # Header (io/container.h): magic, version, artifact type, section
+    # count, header CRC, file size; then 32-byte section entries.
+    magic, _, _, count, header_crc, size = struct.unpack_from("<8sIIIIQ",
+                                                              data)
+    name = os.path.basename(path)
+    assert magic == b"DMTBIN01", f"{name}: bad magic"
+    assert size == len(data), f"{name}: declares {size} bytes, has {len(data)}"
+    table = data[32:32 + 32 * count]
+    # The header CRC covers the header with its CRC field zeroed, then
+    # the section table.
+    zeroed = data[:20] + bytes(4) + data[24:32]
+    assert zlib.crc32(table, zlib.crc32(zeroed)) == header_crc, \
+        f"{name}: header CRC differs from zlib's"
+    for s in range(count):
+        sid, _, offset, length, crc, _ = struct.unpack_from("<IIQQII", table,
+                                                            32 * s)
+        assert zlib.crc32(data[offset:offset + length]) == crc, \
+            f"{name}: section {sid} CRC differs from zlib's"
+    print(f"  {name}: header and {count} section CRC(s) match zlib")
+PY
+else
+  echo "  demo container CRCs: skipped (python3 unavailable)"
+fi
 cat > "$SMOKE_DIR/queries.txt" <<'EOF'
 # serving smoke queries
 classify tree 60000 0 30 1 2 0 135000 10 200000
