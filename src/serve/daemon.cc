@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -251,6 +252,22 @@ Status ServeSocket(Server* server, const std::string& path,
   return Status::OK();
 }
 
+namespace {
+
+/// Parses a query value that the protocol carries as a u32. A wider
+/// value is an InvalidArgument naming the token, never a wrapped one.
+Result<uint32_t> ParseU32Token(const char* what, const std::string& token) {
+  DMT_ASSIGN_OR_RETURN(uint64_t value, core::ParseUint(token));
+  if (value > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(core::StrFormat(
+        "%s \"%s\" is out of range [0, %u]", what, token.c_str(),
+        std::numeric_limits<uint32_t>::max()));
+  }
+  return static_cast<uint32_t>(value);
+}
+
+}  // namespace
+
 Result<Request> ParseScriptLine(const std::string& line, uint64_t id) {
   std::string_view trimmed = core::Trim(line);
   if (trimmed.empty() || trimmed.front() == '#') {
@@ -310,12 +327,11 @@ Result<Request> ParseScriptLine(const std::string& line, uint64_t id) {
       return Status::InvalidArgument("rules needs a top_k");
     }
     request.type = RequestType::kRecommend;
-    DMT_ASSIGN_OR_RETURN(uint64_t top_k, core::ParseUint(tokens[1]));
-    request.top_k = static_cast<uint32_t>(top_k);
+    DMT_ASSIGN_OR_RETURN(request.top_k, ParseU32Token("top_k", tokens[1]));
     std::vector<uint32_t> basket;
     for (size_t i = 2; i < tokens.size(); ++i) {
-      DMT_ASSIGN_OR_RETURN(uint64_t item, core::ParseUint(tokens[i]));
-      basket.push_back(static_cast<uint32_t>(item));
+      DMT_ASSIGN_OR_RETURN(uint32_t item, ParseU32Token("item id", tokens[i]));
+      basket.push_back(item);
     }
     request.count = 1;
     request.baskets.push_back(std::move(basket));

@@ -1,6 +1,9 @@
 #include "serve/model_bundle.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "core/string_util.h"
@@ -46,6 +49,125 @@ Status CheckTreeAgainstSchema(const tree::DecisionTree& tree,
 }
 
 }  // namespace
+
+Result<AntecedentIndex> AntecedentIndex::Build(
+    const std::vector<assoc::AssociationRule>& rules) {
+  constexpr size_t kMaxOffset = std::numeric_limits<uint32_t>::max();
+  if (rules.size() >= kMaxOffset) {
+    return Status::InvalidArgument(core::StrFormat(
+        "serving bundle: %zu rules do not fit a 32-bit rule index",
+        rules.size()));
+  }
+  // One hashing pass gives every rule its group, numbered in order of
+  // first appearance. Slots pack a 32-bit hash tag and the group id + 1,
+  // and a group is keyed by the antecedent of the rule that opened it.
+  // The table doubles before it is half full, so its size follows the
+  // distinct antecedents, not the rules.
+  std::vector<uint64_t> slots;
+  size_t mask = 0;
+  int shift = 0;
+  std::vector<uint32_t> group_of(rules.size());
+  std::vector<uint32_t> opened_by;   // per group: its first rule
+  std::vector<uint32_t> group_size;  // per group: its rule count
+  std::vector<uint64_t> group_hash;  // per group: its antecedent's hash
+  auto grow = [&](size_t capacity) {
+    slots.assign(capacity, 0);
+    mask = capacity - 1;
+    shift = 64 - std::countr_zero(capacity);
+    for (size_t g = 0; g < group_hash.size(); ++g) {
+      size_t s = group_hash[g] >> shift;
+      while (slots[s] != 0) s = (s + 1) & mask;
+      slots[s] = (group_hash[g] << 32) | (g + 1);
+    }
+  };
+  grow(64);
+  for (size_t r = 0; r < rules.size(); ++r) {
+    if (2 * (opened_by.size() + 1) > slots.size()) grow(2 * slots.size());
+    const std::vector<uint32_t>& antecedent = rules[r].antecedent;
+    // FNV-1a over the items, then a Fibonacci multiply so the top bits
+    // (the slot) depend on every item.
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (uint32_t item : antecedent) {
+      hash ^= item;
+      hash *= 0x100000001b3ULL;
+    }
+    hash *= 0x9E3779B97F4A7C15ULL;
+    for (size_t s = hash >> shift;; s = (s + 1) & mask) {
+      uint64_t& slot = slots[s];
+      if (slot == 0) {
+        group_of[r] = static_cast<uint32_t>(opened_by.size());
+        opened_by.push_back(static_cast<uint32_t>(r));
+        group_size.push_back(1);
+        group_hash.push_back(hash);
+        slot = (hash << 32) | opened_by.size();
+        break;
+      }
+      const uint32_t group = static_cast<uint32_t>(slot) - 1;
+      if ((slot >> 32) == (hash & 0xFFFFFFFFu) &&
+          rules[opened_by[group]].antecedent == antecedent) {
+        group_of[r] = group;
+        ++group_size[group];
+        break;
+      }
+    }
+  }
+
+  // Lexicographic order of the groups: a sort of the distinct
+  // antecedents, never of the rules.
+  const size_t num_groups = opened_by.size();
+  std::vector<uint32_t> order(num_groups);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return rules[opened_by[a]].antecedent < rules[opened_by[b]].antecedent;
+  });
+
+  AntecedentIndex index;
+  index.item_offsets_.resize(num_groups + 1);
+  index.rule_offsets_.resize(num_groups + 1);
+  std::vector<uint32_t> rank(num_groups);
+  size_t total_items = 0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    rank[order[g]] = static_cast<uint32_t>(g);
+    total_items += rules[opened_by[order[g]]].antecedent.size();
+    if (total_items > kMaxOffset) {
+      return Status::InvalidArgument(
+          "serving bundle: the rules' distinct antecedents hold more "
+          "items than a 32-bit offset reaches");
+    }
+    index.item_offsets_[g + 1] = static_cast<uint32_t>(total_items);
+    index.rule_offsets_[g + 1] =
+        index.rule_offsets_[g] + group_size[order[g]];
+  }
+  index.items_.reserve(total_items);
+  const bool has_empty =
+      num_groups > 0 && rules[opened_by[order[0]]].antecedent.empty();
+  index.first_items_.reserve(num_groups - (has_empty ? 1 : 0));
+  for (uint32_t group : order) {
+    const std::vector<uint32_t>& antecedent =
+        rules[opened_by[group]].antecedent;
+    index.items_.insert(index.items_.end(), antecedent.begin(),
+                        antecedent.end());
+    if (!antecedent.empty()) index.first_items_.push_back(antecedent.front());
+  }
+  // Rules in index order land at their group's cursor, so every group's
+  // list comes out ascending without a sort.
+  index.rule_ids_.resize(rules.size());
+  std::vector<uint32_t> cursor(index.rule_offsets_.begin(),
+                               index.rule_offsets_.end() - 1);
+  for (size_t r = 0; r < rules.size(); ++r) {
+    index.rule_ids_[cursor[rank[group_of[r]]]++] = static_cast<uint32_t>(r);
+  }
+  return index;
+}
+
+std::pair<size_t, size_t> AntecedentIndex::GroupsStartingWith(
+    uint32_t item) const {
+  const auto [lo, hi] =
+      std::equal_range(first_items_.begin(), first_items_.end(), item);
+  const size_t skip = num_groups() - first_items_.size();
+  return {skip + static_cast<size_t>(lo - first_items_.begin()),
+          skip + static_cast<size_t>(hi - first_items_.begin())};
+}
 
 Result<std::shared_ptr<const ModelBundle>> ModelBundle::Load(
     const ModelPaths& paths) {
@@ -143,22 +265,7 @@ Status ModelBundle::FinishInit() {
   }
 
   if (rules_.has_value()) {
-    staged_rules_.reserve(rules_->size());
-    for (const assoc::AssociationRule& rule : *rules_) {
-      StagedRule staged;
-      for (uint32_t item : rule.antecedent) {
-        staged.antecedent_signature |=
-            core::kernels::SignatureOfItem(item);
-        staged.max_item = std::max(staged.max_item, item);
-      }
-      for (uint32_t item : rule.consequent) {
-        staged.consequent_signature |=
-            core::kernels::SignatureOfItem(item);
-        staged.max_item = std::max(staged.max_item, item);
-      }
-      max_rule_item_ = std::max(max_rule_item_, staged.max_item);
-      staged_rules_.push_back(staged);
-    }
+    DMT_ASSIGN_OR_RETURN(antecedent_index_, AntecedentIndex::Build(*rules_));
   }
   return Status::OK();
 }

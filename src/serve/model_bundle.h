@@ -5,8 +5,8 @@
 //
 //   - k-means centers staged dimension-major (SoaBlock) so nearest-center
 //     assignment hits the batched squared_euclidean_to_many kernel
-//   - per-rule 64-bit antecedent/consequent Bloom signatures gating the
-//     exact bitset containment scan
+//   - the rules grouped by antecedent (AntecedentIndex), so a basket
+//     reaches only the rules whose antecedent it can hold
 //   - the serving schema (AttributeInfo per feature) for assembling
 //     request records into Datasets with the training schema; every tree
 //     split is checked against it at load, so a tree never reads a column
@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assoc/rules.h"
@@ -46,12 +48,49 @@ struct ModelPaths {
   std::string rules;   // WriteRuleSet container
 };
 
-/// Per-rule data staged for the recommendation scan.
-struct StagedRule {
-  uint64_t antecedent_signature = 0;
-  uint64_t consequent_signature = 0;
-  /// Largest item id in antecedent ∪ consequent (bitset sizing guard).
-  uint32_t max_item = 0;
+/// The rules grouped by antecedent, built once at load. A group is one
+/// distinct antecedent exactly as stored (an unsorted item list is its
+/// own key) with the ascending indices of the rules that carry it. Groups
+/// are in lexicographic antecedent order, so an empty antecedent is group
+/// 0 and the groups whose first stored item is the same are contiguous.
+/// Both lists are CSRs; nothing is sized by an item id.
+class AntecedentIndex {
+ public:
+  /// Fails only when a count does not fit the index's 32-bit offsets.
+  static core::Result<AntecedentIndex> Build(
+      const std::vector<assoc::AssociationRule>& rules);
+
+  size_t num_groups() const {
+    return rule_offsets_.empty() ? 0 : rule_offsets_.size() - 1;
+  }
+  std::span<const uint32_t> antecedent(size_t group) const {
+    return Row(items_, item_offsets_, group);
+  }
+  std::span<const uint32_t> rule_ids(size_t group) const {
+    return Row(rule_ids_, rule_offsets_, group);
+  }
+  /// True when group 0 has the empty antecedent, which every basket holds.
+  bool has_empty_group() const {
+    return num_groups() > first_items_.size();
+  }
+  /// The groups [first, last) whose first stored antecedent item is
+  /// `item`, by binary search over the groups' first items.
+  std::pair<size_t, size_t> GroupsStartingWith(uint32_t item) const;
+
+ private:
+  static std::span<const uint32_t> Row(const std::vector<uint32_t>& values,
+                                       const std::vector<uint32_t>& offsets,
+                                       size_t row) {
+    return std::span<const uint32_t>(values).subspan(
+        offsets[row], offsets[row + 1] - offsets[row]);
+  }
+
+  std::vector<uint32_t> item_offsets_;
+  std::vector<uint32_t> items_;
+  std::vector<uint32_t> rule_offsets_;
+  std::vector<uint32_t> rule_ids_;
+  /// First stored item of every group with a non-empty antecedent.
+  std::vector<uint32_t> first_items_;
 };
 
 class ModelBundle {
@@ -93,12 +132,10 @@ class ModelBundle {
   /// Centers staged dimension-major for squared_euclidean_to_many.
   const core::kernels::SoaBlock& centers_soa() const { return centers_soa_; }
 
-  const std::vector<StagedRule>& staged_rules() const {
-    return staged_rules_;
+  /// The rules grouped by antecedent (empty when there are no rules).
+  const AntecedentIndex& antecedent_index() const {
+    return antecedent_index_;
   }
-  /// Largest item id across all rules (sizes the shared per-batch bitset;
-  /// 0 when there are no rules).
-  uint32_t max_rule_item() const { return max_rule_item_; }
 
   /// One-line inventory for logs/stats ("tree=yes train=12x9 ...").
   std::string Describe() const;
@@ -117,8 +154,7 @@ class ModelBundle {
   std::unique_ptr<classify::NaiveBayesClassifier> nb_;
   std::vector<core::AttributeInfo> schema_;
   core::kernels::SoaBlock centers_soa_;
-  std::vector<StagedRule> staged_rules_;
-  uint32_t max_rule_item_ = 0;
+  AntecedentIndex antecedent_index_;
 };
 
 }  // namespace dmt::serve

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/string_util.h"
@@ -14,13 +15,16 @@ using io::ByteWriter;
 
 namespace {
 
-/// Stamps the frame header in front of a finished body.
+/// Writes the frame header and the finished body into one exactly sized
+/// frame.
 std::vector<std::byte> FinishFrame(uint32_t magic, const ByteWriter& body) {
-  ByteWriter header;
-  header.PutU32(magic);
-  header.PutU32(static_cast<uint32_t>(body.bytes().size()));
-  std::vector<std::byte> frame(header.bytes().begin(), header.bytes().end());
-  frame.insert(frame.end(), body.bytes().begin(), body.bytes().end());
+  const std::span<const std::byte> payload = body.bytes();
+  const auto length = static_cast<uint32_t>(payload.size());
+  std::vector<std::byte> frame(sizeof(magic) + sizeof(length) +
+                               payload.size());
+  std::memcpy(frame.data(), &magic, sizeof(magic));
+  std::memcpy(frame.data() + sizeof(magic), &length, sizeof(length));
+  std::ranges::copy(payload, frame.begin() + sizeof(magic) + sizeof(length));
   return frame;
 }
 

@@ -56,6 +56,76 @@ const char* TypeName(RequestType type) {
   return "unknown";
 }
 
+/// A matched antecedent group's rule list, from its next unvisited entry.
+struct GroupCursor {
+  const uint32_t* next;
+  const uint32_t* end;
+};
+
+/// The first top_k rules, in index order, whose antecedent `basket` holds
+/// and whose consequent it does not. `basket` is canonical (sorted,
+/// duplicate-free). Only the groups it can match are read: for each of
+/// its items x, the groups whose first stored antecedent item is x,
+/// kept when the basket holds their other items too, plus the
+/// empty-antecedent group. A heap merges their ascending rule lists by
+/// rule index, so the answer is the one a scan of every rule gives.
+/// `rules_scanned` counts the rule entries the merge visits.
+std::vector<RuleHit> ScoreBasket(const ModelBundle& bundle,
+                                 std::span<const uint32_t> basket,
+                                 uint32_t top_k,
+                                 std::vector<GroupCursor>* heap,
+                                 uint64_t* rules_scanned) {
+  const AntecedentIndex& index = bundle.antecedent_index();
+  auto holds = [basket](uint32_t item) {
+    return std::binary_search(basket.begin(), basket.end(), item);
+  };
+  heap->clear();
+  auto add = [&](size_t group) {
+    const std::span<const uint32_t> ids = index.rule_ids(group);
+    heap->push_back({ids.data(), ids.data() + ids.size()});
+  };
+  if (index.has_empty_group()) add(0);
+  for (uint32_t item : basket) {
+    const auto [first, last] = index.GroupsStartingWith(item);
+    for (size_t g = first; g < last; ++g) {
+      const std::span<const uint32_t> antecedent = index.antecedent(g);
+      if (std::all_of(antecedent.begin() + 1, antecedent.end(), holds)) {
+        add(g);
+      }
+    }
+  }
+  auto later = [](const GroupCursor& a, const GroupCursor& b) {
+    return *a.next > *b.next;
+  };
+  std::make_heap(heap->begin(), heap->end(), later);
+  const std::vector<assoc::AssociationRule>& rules = bundle.rules();
+  std::vector<RuleHit> hits;
+  while (!heap->empty() && hits.size() < top_k) {
+    std::pop_heap(heap->begin(), heap->end(), later);
+    GroupCursor& cursor = heap->back();
+    const uint32_t r = *cursor.next++;
+    if (cursor.next == cursor.end) {
+      heap->pop_back();
+    } else {
+      std::push_heap(heap->begin(), heap->end(), later);
+    }
+    ++*rules_scanned;
+    const assoc::AssociationRule& rule = rules[r];
+    // A rule whose consequent the basket already holds recommends
+    // nothing new.
+    if (std::all_of(rule.consequent.begin(), rule.consequent.end(), holds)) {
+      continue;
+    }
+    RuleHit hit;
+    hit.rule_index = r;
+    hit.confidence = rule.confidence;
+    hit.lift = rule.lift;
+    hit.consequent = rule.consequent;
+    hits.push_back(std::move(hit));
+  }
+  return hits;
+}
+
 }  // namespace
 
 Server::Server(std::shared_ptr<const ModelBundle> bundle,
@@ -350,66 +420,9 @@ void Server::EvaluateCluster(PreparedRequest* prepared,
   tally->points_assigned += prepared->request.count;
 }
 
-std::vector<RuleHit> Server::ScoreBasket(
-    const std::vector<uint32_t>& basket, uint64_t basket_signature,
-    const core::DynamicBitset& bits, uint32_t top_k,
-    uint64_t* rules_scanned) const {
-  const std::vector<assoc::AssociationRule>& rules = bundle_->rules();
-  const std::vector<StagedRule>& staged = bundle_->staged_rules();
-  std::vector<RuleHit> hits;
-  // Rules are stored sorted by descending confidence then lift, so the
-  // first top_k matches are the answer and the scan can stop early.
-  for (size_t i = 0; i < rules.size(); ++i) {
-    ++*rules_scanned;
-    if (!core::kernels::SignatureSubset(staged[i].antecedent_signature,
-                                        basket_signature)) {
-      continue;
-    }
-    const assoc::AssociationRule& rule = rules[i];
-    bool contained = true;
-    for (uint32_t item : rule.antecedent) {
-      if (!bits.Test(item)) {
-        contained = false;
-        break;
-      }
-    }
-    if (!contained) continue;
-    // Skip rules whose consequent the basket already contains — they
-    // recommend nothing new.
-    if (core::kernels::SignatureSubset(staged[i].consequent_signature,
-                                       basket_signature)) {
-      bool already_has = true;
-      for (uint32_t item : rule.consequent) {
-        if (!bits.Test(item)) {
-          already_has = false;
-          break;
-        }
-      }
-      if (already_has) continue;
-    }
-    RuleHit hit;
-    hit.rule_index = static_cast<uint32_t>(i);
-    hit.confidence = rule.confidence;
-    hit.lift = rule.lift;
-    hit.consequent = rule.consequent;
-    hits.push_back(std::move(hit));
-    if (hits.size() == top_k) break;
-  }
-  (void)basket;
-  return hits;
-}
-
 void Server::EvaluateRecommendGroup(std::span<PreparedRequest*> group,
                                     BatchTally* tally) const {
-  // One shared bitset per batch, sized for the rule universe and every
-  // basket in the group; baskets set and clear their own bits.
-  uint32_t max_item = bundle_->max_rule_item();
-  for (PreparedRequest* p : group) {
-    for (const std::vector<uint32_t>& basket : p->canonical_baskets) {
-      if (!basket.empty()) max_item = std::max(max_item, basket.back());
-    }
-  }
-  core::DynamicBitset bits(size_t{max_item} + 1);
+  std::vector<GroupCursor> heap;  // reused by every basket of the batch
   for (PreparedRequest* p : group) {
     p->response.recommendations.reserve(p->canonical_baskets.size());
     for (size_t b = 0; b < p->canonical_baskets.size(); ++b) {
@@ -420,18 +433,13 @@ void Server::EvaluateRecommendGroup(std::span<PreparedRequest*> group,
         p->response.recommendations.push_back(*p->cached_hits[b]);
         continue;
       }
-      uint64_t signature = 0;
-      for (uint32_t item : basket) {
-        bits.Set(item);
-        signature |= core::kernels::SignatureOfItem(item);
-      }
       const uint64_t scanned_before = tally->rules_scanned;
-      std::vector<RuleHit> hits = ScoreBasket(
-          basket, signature, bits, p->request.top_k, &tally->rules_scanned);
+      std::vector<RuleHit> hits = ScoreBasket(*bundle_, basket,
+                                              p->request.top_k, &heap,
+                                              &tally->rules_scanned);
       ++tally->baskets_scored;
       tally->basket_rule_scans.push_back(
           static_cast<uint32_t>(tally->rules_scanned - scanned_before));
-      for (uint32_t item : basket) bits.Clear(item);
       if (have_cached) {
         // The cache contract, asserted: a hit must be bit-identical to
         // the recompute.

@@ -4,8 +4,8 @@
 // staging — all classify records in a batch become one Dataset per model
 // (one PredictAll call), every nearest-center query runs through the
 // batched squared_euclidean_to_many kernel against the centers SoA staged
-// at load, and all baskets in a batch share one DynamicBitset for the
-// rule-containment scans.
+// at load, and each basket reads only the rule groups of the bundle's
+// antecedent index that it can match.
 //
 // Determinism contract (served by tests/serve/serving_diff_test.cc): for
 // a fixed frame sequence, HandleFrames() produces bit-identical response
@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bitset.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
@@ -146,9 +145,11 @@ class Server {
     uint64_t records_classified = 0;
     uint64_t points_assigned = 0;
     uint64_t baskets_scored = 0;
+    /// Rule entries the antecedent-group merge visited (not the size of
+    /// the rule set: a basket reads only the groups it can match).
     uint64_t rules_scanned = 0;
-    /// Rules scanned per scored basket, in basket order — folded into
-    /// the serve/hist/rules_scanned histogram.
+    /// Rule entries visited per scored basket, in basket order — folded
+    /// into the serve/hist/rules_scanned histogram.
     std::vector<uint32_t> basket_rule_scans;
     /// Batch evaluation wall time.
     double eval_us = 0.0;
@@ -199,11 +200,6 @@ class Server {
   void EvaluateCluster(PreparedRequest* prepared, BatchTally* tally) const;
   void EvaluateRecommendGroup(std::span<PreparedRequest*> group,
                               BatchTally* tally) const;
-  std::vector<RuleHit> ScoreBasket(const std::vector<uint32_t>& basket,
-                                   uint64_t basket_signature,
-                                   const core::DynamicBitset& bits,
-                                   uint32_t top_k,
-                                   uint64_t* rules_scanned) const;
 
   std::shared_ptr<const ModelBundle> bundle_;
   ServeOptions options_;

@@ -8,6 +8,7 @@
 #include "serve/protocol.h"
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -349,6 +351,38 @@ TEST(ServeOptionsTest, ValidateRejectsOutOfRangeValues) {
   EXPECT_TRUE(rejected([](ServeOptions* o) { o->verify_cache_hits = true; }));
 }
 
+// ------------------------------------------------------- script parser
+
+TEST(ServeScriptTest, ParseScriptLineKeepsEveryU32Value) {
+  auto parsed = ParseScriptLine("rules 4294967295 1 4294967295", 7);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Request& request = parsed.value();
+  EXPECT_EQ(request.id, 7u);
+  EXPECT_EQ(request.type, RequestType::kRecommend);
+  EXPECT_EQ(request.top_k, 4294967295u);
+  EXPECT_EQ(request.count, 1u);
+  EXPECT_EQ(request.baskets,
+            (std::vector<std::vector<uint32_t>>{{1, 4294967295u}}));
+}
+
+TEST(ServeScriptTest, ParseScriptLineRejectsValuesWiderThanU32) {
+  // A value that does not fit the protocol's u32 is an error naming the
+  // token, never a wrapped top_k or item id.
+  const std::pair<const char*, const char*> cases[] = {
+      {"rules 5 4294967296", "4294967296"},
+      {"rules 4294967301 1 2", "4294967301"},
+      {"rules 5 1 18446744073709551616", "18446744073709551616"},
+  };
+  for (const auto& [line, token] : cases) {
+    auto parsed = ParseScriptLine(line, 1);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), core::StatusCode::kInvalidArgument)
+        << line;
+    EXPECT_NE(parsed.status().message().find(token), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 // --------------------------------------------------- server robustness
 
 class ServeServerTest : public ::testing::Test {
@@ -424,6 +458,28 @@ TEST_F(ServeServerTest, AbsentArtifactIsFailedPreconditionNotCrash) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value().status, 0u);
   EXPECT_EQ(ok.value().recommendations.size(), 1u);
+}
+
+TEST_F(ServeServerTest, HugeItemIdAllocatesNothing) {
+  // The largest item id a client can name sizes no memory: the basket is
+  // answered from the rules it can match, like any other.
+  Server server(bundle(), ServeOptions{});
+  Request request =
+      testutil::MakeRecommendRequest(9, 5, {{3, 4294967295u}});
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  auto response = DecodeResponseFrame(
+      server.HandleFrame(EncodeRequestFrame(request)));
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, 0u) << response.value().error;
+  ASSERT_EQ(response.value().recommendations.size(), 1u);
+  EXPECT_TRUE(response.value().recommendations[0].empty());
+  // ru_maxrss is in KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)
+      << "peak RSS grew from " << before.ru_maxrss << " to "
+      << after.ru_maxrss << " KiB";
 }
 
 TEST_F(ServeServerTest, TreeSplitOnWrongAttributeTypeRejectsBundle) {

@@ -8,7 +8,10 @@
 // so the cached fast path is covered by the same bit-identity check
 // (and once more with verify_cache_hits recomputing every hit). The
 // async BatchQueue, which the daemon serves through, is held to the same
-// bytes as the sync path.
+// bytes as the sync path. Recommend answers are also checked against an
+// independent reference: a brute-force scan of every rule.
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -19,6 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "assoc/fp_growth.h"
+#include "assoc/rules.h"
+#include "gen/quest.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "serve/batch_queue.h"
@@ -390,6 +396,199 @@ TEST(ServingDiffTest, BatchQueueMatchesSyncPathByteForByte) {
       }
     }
   }
+}
+
+// ------------------------------------------------ recommend reference
+
+/// The recommend reference: every rule in index order, taken when the
+/// raw basket holds its whole antecedent and not its whole consequent,
+/// until top_k are taken. No index, no canonical basket, no signature.
+std::vector<RuleHit> BruteForceRecommend(
+    const std::vector<assoc::AssociationRule>& rules,
+    const std::vector<uint32_t>& basket, uint32_t top_k) {
+  auto holds = [&](uint32_t item) {
+    return std::find(basket.begin(), basket.end(), item) != basket.end();
+  };
+  std::vector<RuleHit> hits;
+  for (size_t i = 0; i < rules.size() && hits.size() < top_k; ++i) {
+    const assoc::AssociationRule& rule = rules[i];
+    if (!std::all_of(rule.antecedent.begin(), rule.antecedent.end(),
+                     holds) ||
+        std::all_of(rule.consequent.begin(), rule.consequent.end(),
+                    holds)) {
+      continue;
+    }
+    RuleHit hit;
+    hit.rule_index = static_cast<uint32_t>(i);
+    hit.confidence = rule.confidence;
+    hit.lift = rule.lift;
+    hit.consequent = rule.consequent;
+    hits.push_back(std::move(hit));
+  }
+  return hits;
+}
+
+/// Sends `baskets` at `top_k`, `per_request` baskets to a request, and
+/// checks every answer against the reference: rule index, the bit
+/// patterns of confidence and lift, and the consequent.
+void ExpectMatchesReference(
+    const std::shared_ptr<const ModelBundle>& bundle,
+    const std::vector<std::vector<uint32_t>>& baskets, uint32_t top_k,
+    size_t per_request) {
+  Frames frames;
+  for (size_t b = 0; b < baskets.size(); b += per_request) {
+    const size_t end = std::min(baskets.size(), b + per_request);
+    frames.push_back(EncodeRequestFrame(testutil::MakeRecommendRequest(
+        b + 1, top_k, {baskets.begin() + b, baskets.begin() + end})));
+  }
+  const Frames responses = Server(bundle, ServeOptions{}).HandleFrames(frames);
+  size_t b = 0;
+  for (const std::vector<std::byte>& frame : responses) {
+    auto response = DecodeResponseFrame(frame);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response.value().status, 0u) << response.value().error;
+    for (const std::vector<RuleHit>& got :
+         response.value().recommendations) {
+      ASSERT_LT(b, baskets.size());
+      const std::vector<RuleHit> want =
+          BruteForceRecommend(bundle->rules(), baskets[b], top_k);
+      SCOPED_TRACE("basket " + std::to_string(b) + " top_k " +
+                   std::to_string(top_k));
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t h = 0; h < want.size(); ++h) {
+        EXPECT_EQ(got[h].rule_index, want[h].rule_index) << "hit " << h;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[h].confidence),
+                  std::bit_cast<uint64_t>(want[h].confidence))
+            << "hit " << h;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[h].lift),
+                  std::bit_cast<uint64_t>(want[h].lift))
+            << "hit " << h;
+        EXPECT_EQ(got[h].consequent, want[h].consequent) << "hit " << h;
+      }
+      ++b;
+    }
+  }
+  EXPECT_EQ(b, baskets.size());
+}
+
+/// Hand-made rules for the corner cases of antecedent grouping. Rule
+/// order is not confidence order: the answer is defined by rule index.
+std::shared_ptr<const ModelBundle> MakeCornerCaseBundle() {
+  const std::vector<std::pair<assoc::Itemset, assoc::Itemset>> parts = {
+      {{1, 2}, {3}},     //  0: {1,2} recurs at 9 and 14
+      {{}, {4}},         //  1: empty antecedent
+      {{7, 3}, {9}},     //  2: stored unsorted
+      {{1}, {2}},        //  3: {1,2} baskets already hold the consequent
+      {{2}, {}},         //  4: empty consequent, never recommended
+      {{3, 7}, {8}},     //  5: rule 2's set, stored sorted
+      {{5, 5}, {6}},     //  6: a duplicated stored item
+      {{2}, {5}},        //  7
+      {{1}, {6, 7}},     //  8
+      {{1, 2}, {8}},     //  9
+      {{4}, {1}},        // 10
+      {{}, {2}},         // 11: empty antecedent again
+      {{1, 2, 3}, {10}}, // 12
+      {{7}, {3}},        // 13
+      {{1, 2}, {5, 6}},  // 14
+      {{9}, {1}},        // 15
+  };
+  std::vector<assoc::AssociationRule> rules;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    assoc::AssociationRule rule;
+    rule.antecedent = parts[i].first;
+    rule.consequent = parts[i].second;
+    rule.confidence = 0.95 - static_cast<double>(i) / 37.0;
+    rule.lift = 1.0 + static_cast<double>(i * i) / 7.0;
+    rules.push_back(std::move(rule));
+  }
+  auto bundle = ModelBundle::FromParts(std::nullopt, std::nullopt,
+                                       std::nullopt, std::move(rules));
+  DMT_CHECK(bundle.ok());
+  return bundle.value();
+}
+
+TEST(ServingDiffTest, RecommendMatchesBruteForceOnCornerCases) {
+  const auto bundle = MakeCornerCaseBundle();
+  const std::vector<std::vector<uint32_t>> baskets = {
+      {2, 1, 2},              // duplicates; holds rule 3's consequent
+      {1, 2, 3, 7, 1000},     // 1000 lies beyond every rule item
+      {7, 3},                 // both stored orders of {3,7}
+      {5},                    // {5,5}
+      {4, 1, 9},
+      {1000, 2000},           // only the empty antecedent matches
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+  };
+  for (uint32_t top_k : {1u, 5u, 50u}) {
+    ExpectMatchesReference(bundle, baskets, top_k, /*per_request=*/3);
+    ExpectMatchesReference(bundle, baskets, top_k,
+                           /*per_request=*/baskets.size());
+  }
+}
+
+TEST(ServingDiffTest, RecommendMatchesBruteForceOnQuestRules) {
+  gen::QuestParams quest;
+  quest.num_transactions = 10000;
+  quest.num_items = 120;
+  quest.num_patterns = 40;
+  quest.avg_transaction_size = 8.0;
+  quest.avg_pattern_size = 4.0;
+  auto db = gen::GenerateQuestTransactions(quest, /*seed=*/2305);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  assoc::MiningParams mining;
+  mining.min_support = 0.02;
+  auto mined = assoc::MineFpGrowth(db.value(), mining);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  assoc::RuleParams rule_params;
+  rule_params.min_confidence = 0.3;
+  auto rules = assoc::GenerateRules(mined.value(), db.value().size(),
+                                    rule_params);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  ASSERT_GT(rules.value().size(), 1000u);
+  auto bundle = ModelBundle::FromParts(std::nullopt, std::nullopt,
+                                       std::nullopt, std::move(rules).value());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+
+  // Every tenth store basket, as the client sent it.
+  std::vector<std::vector<uint32_t>> baskets;
+  for (size_t t = 0; t < db.value().size(); t += 10) {
+    const auto items = db.value().transaction(t);
+    baskets.emplace_back(items.begin(), items.end());
+  }
+  for (uint32_t top_k : {1u, 5u, 20u}) {
+    ExpectMatchesReference(bundle.value(), baskets, top_k,
+                           /*per_request=*/8);
+  }
+}
+
+TEST(ServingDiffTest, RulesScannedCountsTheMergedRuleEntries) {
+  // Basket {1, 2} at top 5 matches the groups {} (rules 1, 11), {1}
+  // (3, 8), {1,2} (0, 9, 14) and {2} (4, 7). The merge visits rules 0,
+  // 1, 3, 4, 7, 8 and 9 in index order, skipping 3 (consequent held) and
+  // 4 (empty consequent), and stops at its fifth hit: 7 entries, where a
+  // scan of every rule reads rules 0-9, 10 entries.
+  const RunResult run = [] {
+    obs::Registry::Global().Reset();
+    Server server(MakeCornerCaseBundle(), ServeOptions{});
+    RunResult result;
+    Workload load;
+    load.wave1.push_back(EncodeRequestFrame(
+        testutil::MakeRecommendRequest(1, 5, {{1, 2}})));
+    result.responses = server.HandleFrames(load.wave1);
+    for (const auto& [name, value] :
+         obs::Registry::Global().CounterSnapshot()) {
+      result.counters.emplace_back(name, value);
+    }
+    return result;
+  }();
+  auto response = DecodeResponseFrame(run.responses.at(0));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  std::vector<uint32_t> indices;
+  for (const RuleHit& hit : response.value().recommendations.at(0)) {
+    indices.push_back(hit.rule_index);
+  }
+  EXPECT_EQ(indices, (std::vector<uint32_t>{0, 1, 7, 8, 9}));
+  EXPECT_EQ(run.Counter("serve/baskets_scored"), 1u);
+  EXPECT_EQ(run.Counter("serve/rules_scanned"), 7u);
 }
 
 }  // namespace

@@ -19,9 +19,11 @@
 # (deterministic work counters must match exactly), and a serving smoke
 # that drives dmtd end to end — including Python's zlib.crc32 recomputing
 # the header and section CRCs of the demo containers the library wrote, a
-# client that hangs up unread, bad numeric flags, a cyclic tree container
-# written in Python, the --metrics-path Prometheus dump and the
-# --slow-query-us structured log.
+# client that hangs up unread, bad numeric flags, hostile query values (a
+# basket naming item 4294967295 under a 128 MB peak-RSS cap, an item id
+# wider than u32 rejected by name), a cyclic tree container written in
+# Python, the --metrics-path Prometheus dump and the --slow-query-us
+# structured log.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -468,6 +470,36 @@ for bad in "--threads -1" "--threads +4" "--cache -5" \
   fi
 done
 echo "  bad numeric flags: usage error ok"
+
+# Hostile query values: a basket naming item 4294967295 must be answered
+# without memory sized by the item id (the child's peak RSS stays under
+# 128 MB), and a query value wider than u32 must fail the script with
+# the token named, never run as a wrapped id.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$DMTD" "$DEMO_DIR/rules.dmt" "$SMOKE_DIR" <<'PY'
+import os, resource, subprocess, sys
+dmtd, rules, tmp = sys.argv[1:4]
+def script(name, line):
+    path = os.path.join(tmp, name)
+    with open(path, "w") as f:
+        f.write(line + "\n")
+    return subprocess.run([dmtd, "--rules", rules, "--script", path],
+                          capture_output=True, text=True)
+huge = script("huge_item.txt", "rules 5 3 4294967295")
+assert huge.returncode == 0, huge.stderr
+assert any(line.startswith("id=1 rules ")
+           for line in huge.stdout.splitlines()), huge.stdout
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 128, f"dmtd peaked at {peak_mb:.0f} MB on one basket"
+wide = script("wide_item.txt", "rules 5 4294967296")
+assert wide.returncode != 0, "an item id wider than u32 was accepted"
+assert "4294967296" in wide.stdout + wide.stderr, wide.stderr
+print(f"  hostile query values: item 4294967295 answered at "
+      f"{peak_mb:.0f} MB peak, a u64 item id rejected by name")
+PY
+else
+  echo "  hostile query values: skipped (python3 unavailable)"
+fi
 
 # Tree shape rules: a CRC-valid tree container whose nodes 0 and 1 are
 # each other's only child must fail to load (exit 1, Corruption), not
